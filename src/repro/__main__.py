@@ -552,7 +552,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
             from .cluster import replay_cluster_trace
 
             try:
-                mismatches = replay_cluster_trace(records, progress=print)
+                mismatches = replay_cluster_trace(
+                    records, progress=print, jobs=args.jobs
+                )
             except ValueError as exc:
                 print(exc.args[0] if exc.args else str(exc))
                 return 2
@@ -742,18 +744,26 @@ def cmd_cluster(args) -> int:
     from .cluster import ClusterSession, generate_cluster_chaos
     from .trace import JsonlTrace, NullTrace
 
+    if args.cluster_command == "reshard" and args.reshard_at < 0:
+        print("reshard needs --reshard-at >= 0")
+        return 2
+    if args.smoke:
+        args.shards = min(args.shards, 2)
+        args.ops = min(args.ops, 20)
+        args.kills = min(args.kills, 1)
+    chaos = [] if args.no_chaos else generate_cluster_chaos(
+        args.seed, args.shards, horizon=args.horizon,
+        kills=args.kills, transport=args.transport,
+        partitions=args.partitions, msg_faults=args.msg_faults,
+        reshard_at=args.reshard_at,
+        follower_kills=args.follower_kills if args.replicate else 0,
+    )
+
     if args.cluster_command == "bench":
         # determinism/parity bench: same seeded chaos session at each
         # --jobs level must produce the same digest; report wall time
         import time
 
-        chaos = generate_cluster_chaos(
-            args.seed, args.shards, horizon=args.horizon,
-            kills=args.kills, transport=args.transport,
-            partitions=args.partitions, msg_faults=args.msg_faults,
-            reshard_at=args.reshard_at,
-            follower_kills=args.follower_kills if args.replicate else 0,
-        )
         digests = {}
         for jobs in args.jobs_levels:
             session = ClusterSession.build(
@@ -777,21 +787,6 @@ def cmd_cluster(args) -> int:
         return 1
 
     # serve / reshard: one chaos session, optionally traced
-    if args.cluster_command == "reshard" and args.reshard_at < 0:
-        print("reshard needs --reshard-at >= 0")
-        return 2
-    if args.smoke:
-        args.shards = min(args.shards, 2)
-        args.ops = min(args.ops, 20)
-        args.kills = min(args.kills, 1)
-
-    chaos = generate_cluster_chaos(
-        args.seed, args.shards, horizon=args.horizon,
-        kills=args.kills, transport=args.transport,
-        partitions=args.partitions, msg_faults=args.msg_faults,
-        reshard_at=args.reshard_at,
-        follower_kills=args.follower_kills if args.replicate else 0,
-    ) if not args.no_chaos else []
     trace = JsonlTrace(args.trace) if args.trace else NullTrace()
     try:
         session = ClusterSession.build(
@@ -833,7 +828,7 @@ def cmd_cluster(args) -> int:
             print("  range %d: fence=%d promotions=%d follower_served=%d"
                   % (rs.range_id, rs.fence, rs.promotions,
                      rs.follower.served if rs.follower else 0))
-    mig = getattr(session, "_mig", None)
+    mig = session._mig
     if mig is not None:
         print("reshard:   new shard %d, %d/%d keys migrated, state=%s"
               % (mig["target"], mig["copied"], len(mig["moved"]),
@@ -1198,50 +1193,43 @@ def main(argv=None) -> int:
                  "(-1: no reshard)",
         )
 
+    # serve and reshard run one session: shared session options
+    session_opts = argparse.ArgumentParser(add_help=False)
+    session_opts.add_argument("--txn-every", type=int, default=6,
+                              help="every Nth mixed-phase PUT becomes a "
+                                   "cross-shard transaction")
+    session_opts.add_argument("--jobs", type=int, default=1,
+                              help="worker processes (shard epochs fan "
+                                   "out; results are bit-identical to "
+                                   "--jobs 1)")
+    session_opts.add_argument("--trace", default=None,
+                              help="JSONL session trace path")
+    session_opts.add_argument("--no-chaos", action="store_true",
+                              help="fault-free run (sanity baseline)")
+    session_opts.add_argument("--smoke", action="store_true",
+                              help="small fixed shape for CI smoke tests")
+
     p_cserve = csub.add_parser(
-        "serve",
+        "serve", parents=[session_opts],
         help="run one chaos session: routed ops, kills, recovery, "
              "typed degradation, oracle check",
     )
     _cluster_common(p_cserve)
-    p_cserve.add_argument("--txn-every", type=int, default=6,
-                          help="every Nth mixed-phase PUT becomes a "
-                               "cross-shard transaction")
-    p_cserve.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (shard epochs fan out; "
-                               "results are bit-identical to --jobs 1)")
-    p_cserve.add_argument("--trace", default=None,
-                          help="JSONL session trace path")
-    p_cserve.add_argument("--no-chaos", action="store_true",
-                          help="fault-free run (sanity baseline)")
-    p_cserve.add_argument("--smoke", action="store_true",
-                          help="small fixed shape for CI smoke tests")
 
     p_creshard = csub.add_parser(
-        "reshard",
+        "reshard", parents=[session_opts],
         help="live resharding: a new shard joins mid-run and its key "
              "arcs migrate while clients keep being served",
     )
     _cluster_common(p_creshard)
     p_creshard.set_defaults(reshard_at=3)
-    p_creshard.add_argument("--txn-every", type=int, default=6,
-                            help="every Nth mixed-phase PUT becomes a "
-                                 "cross-shard transaction")
-    p_creshard.add_argument("--jobs", type=int, default=1,
-                            help="worker processes (shard epochs fan "
-                                 "out; bit-identical to --jobs 1)")
-    p_creshard.add_argument("--trace", default=None,
-                            help="JSONL session trace path")
-    p_creshard.add_argument("--no-chaos", action="store_true",
-                            help="fault-free migration (sanity baseline)")
-    p_creshard.add_argument("--smoke", action="store_true",
-                            help="small fixed shape for CI smoke tests")
 
     p_cbench = csub.add_parser(
         "bench",
         help="--jobs parity check + wall time for one chaos session",
     )
     _cluster_common(p_cbench)
+    p_cbench.set_defaults(smoke=False, no_chaos=False)
     p_cbench.add_argument(
         "--jobs-levels", type=int, nargs="+", default=[1, 2, 4],
         help="worker counts to compare (digest must be identical)",

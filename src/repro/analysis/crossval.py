@@ -15,7 +15,7 @@ from ..config import DEFAULT_CONFIG, SystemConfig
 from ..core.lightwsp import LIGHTWSP, trace_of
 from ..core.machine import PersistentMachine
 from ..sim.engine import simulate
-from ..sim.trace import count_events
+from ..trace import count_events
 
 __all__ = ["CrossCheck", "cross_validate"]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..sim.trace import EK, TraceEvent
+from ..trace import EK, TraceEvent
 
 __all__ = ["Histogram", "region_size_histograms", "store_gap_histogram"]
 

@@ -27,7 +27,7 @@ from ..compiler.pipeline import compile_program
 from ..config import CXL_PRESETS, DEFAULT_CONFIG, SystemConfig, VictimPolicy
 from ..core.lightwsp import LIGHTWSP
 from ..sim.engine import SchemePolicy, SimResult, simulate
-from ..sim.trace import TraceEvent, count_events
+from ..trace import TraceEvent, count_events
 from ..workloads.suite import BENCHMARKS, MEMORY_INTENSIVE, Benchmark
 from .metrics import geomean, per_suite
 from . import cacti, hwcost

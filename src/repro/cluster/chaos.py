@@ -409,10 +409,13 @@ def run_cluster_campaign(
 def replay_cluster_trace(
     records: List[Dict],
     progress: Optional[Callable[[str], None]] = None,
+    jobs: int = 1,
 ) -> List[str]:
     """Re-run every ``cluster_scenario`` in a campaign trace and verify
     its outcome (digest + violations) reproduces exactly.  Returns the
-    mismatches (empty = faithful replay)."""
+    mismatches (empty = faithful replay).  Scenarios are independent,
+    so ``jobs > 1`` fans them out over worker processes; the mismatches
+    come back in recorded order at any ``jobs``."""
     from .coordinator import ClusterSession
     from ..obs.schema import ensure_supported_version
 
@@ -424,12 +427,11 @@ def replay_cluster_trace(
     )
     if start is None:
         return ["trace has no cluster_campaign_start record"]
-    mismatches: List[str] = []
-    n = 0
-    for record in records:
-        if record.get("type") != "cluster_scenario":
-            continue
-        n += 1
+    scenarios = [r for r in records if r.get("type") == "cluster_scenario"]
+    if not scenarios:
+        return ["trace has no cluster_scenario records"]
+
+    def replay_one(record: Dict) -> List[str]:
         session = ClusterSession.build(
             n_shards=start["n_shards"],
             keyspace=start["keyspace"],
@@ -444,17 +446,27 @@ def replay_cluster_trace(
         )
         session.run()
         label = "%s seed=%d" % (record["backend"], record["seed"])
+        found: List[str] = []
         if session.digest() != record["digest"]:
-            mismatches.append(
+            found.append(
                 "%s: digest %s, trace recorded %s"
                 % (label, session.digest(), record["digest"])
             )
         if list(session.violations) != list(record["violations"]):
-            mismatches.append(
+            found.append(
                 "%s: violations %r, trace recorded %r"
                 % (label, session.violations, record["violations"])
             )
-        say("  replayed %s: %s" % (label, "ok" if not mismatches else "MISMATCH"))
-    if n == 0:
-        mismatches.append("trace has no cluster_scenario records")
+        return found
+
+    outcomes = fan_out(
+        replay_one, scenarios, jobs=jobs, label="cluster-replay"
+    )
+    mismatches: List[str] = []
+    for record, found in zip(scenarios, outcomes):
+        say("  replayed %s seed=%d: %s" % (
+            record["backend"], record["seed"],
+            "MISMATCH" if found else "ok",
+        ))
+        mismatches.extend(found)
     return mismatches

@@ -51,8 +51,14 @@ dirty-key tracking, then one delta-sync + migrate-out handoff between
 epochs flips the ring and reroutes in-flight sub-operations, reusing
 the sequence-fence machinery so no epoch is ever double-served.
 
-Everything is deterministic in ``(workload seed, chaos schedule,
-policy)``: executor calls are pure functions fanned out per epoch and
+Every shard batch — client traffic, a batch shipped to a follower, a
+migration copy — takes one path: :meth:`ClusterSession._execute` runs
+it through the pure executor and :meth:`ClusterSession._commit` folds
+the result into the shard, and every primary power cut goes dark
+through :meth:`ClusterSession._go_dark`.
+
+Everything is deterministic in ``(workload seed, chaos schedule)``
+(the retry policy is seeded from the workload seed): executor calls are pure functions fanned out per epoch and
 merged in shard order — replication shipping, promotion, and migration
 are coordinator-side inline work — and the JSONL trace is emitted only
 from the merged timeline, so the same seed produces a byte-identical
@@ -75,7 +81,7 @@ from typing import (
 )
 
 from ..compiler.pipeline import compile_program
-from ..config import DEFAULT_CONFIG, SystemConfig
+from ..config import DEFAULT_CONFIG
 from ..faults.model import FaultEvent
 from ..parallel import fan_out
 from ..runtime.backend import get_backend, require_recovering
@@ -94,11 +100,20 @@ from .protocol import (
     SessionTracker,
 )
 from .ring import HashRing, moved_keys
-from .shard import RangeState, ShardState, execute_shard_epoch
+from .shard import EpochResult, RangeState, ShardState, execute_shard_epoch
 from .supervisor import Supervisor
 from .workload import LogicalOp, generate_cluster_ops
 
 __all__ = ["ClusterSession", "Applied", "mix_int"]
+
+#: the session's fixed shape: words per stored value, requests per shard
+#: epoch, and virtual nodes per shard on the hash ring
+VALUE_WORDS = 2
+MAX_BATCH = 8
+VNODES = 16
+#: moved keys per migration copy: each may bring its shadow, so a chunk
+#: fills at most one batch
+COPY_CHUNK = MAX_BATCH // 2
 
 
 def mix_int(*parts: object) -> int:
@@ -180,20 +195,13 @@ class ClusterSession:
         ops: Sequence[LogicalOp],
         seed: int = 0,
         backend: Optional[str] = None,
-        policy: Optional[RetryPolicy] = None,
         chaos: Sequence[ClusterFault] = (),
-        value_words: int = 2,
-        batch: int = 8,
-        vnodes: int = 16,
         jobs: int = 1,
         max_epochs: int = 400,
-        config: SystemConfig = DEFAULT_CONFIG,
         trace: Any = None,
-        verify: Optional[bool] = None,
         replicate: bool = False,
         ship_lag: int = 1,
         reshard_at: int = -1,
-        copy_chunk: int = 4,
     ) -> None:
         from ..store.layout import StoreLayout
 
@@ -201,28 +209,24 @@ class ClusterSession:
             raise ValueError("need at least one shard")
         if ship_lag < 0:
             raise ValueError("ship_lag must be >= 0")
-        if reshard_at >= 0 and batch < 2:
-            raise ValueError("live resharding needs max_batch >= 2 "
-                             "(a key and its shadow copy in one batch)")
         self.n_shards = n_shards
         self.keyspace = keyspace
         self.seed = seed
         self.backend = require_recovering(
             get_backend(backend), "the cluster's crash-recovery supervisor"
         )
-        self.policy = policy or RetryPolicy(seed=seed)
-        self.config = config
+        self.policy = RetryPolicy(seed=seed)
         self.jobs = jobs
         self.max_epochs = max_epochs
         self.trace = trace if trace is not None else NullTrace()
         # shadow keys live at key + keyspace, so the layout is sized for
         # both halves; scans are clamped to the real half by the workload
         sizing = StoreLayout.sized(
-            2 * keyspace, value_words=value_words, max_batch=batch
+            2 * keyspace, value_words=VALUE_WORDS, max_batch=MAX_BATCH
         )
         prog, self.layout = build_store_program(sizing, epoch_base=0)
-        self.compiled = compile_program(prog, config.compiler, verify=verify)
-        self.ring = HashRing(n_shards, vnodes)
+        self.compiled = compile_program(prog, DEFAULT_CONFIG.compiler)
+        self.ring = HashRing(n_shards, VNODES)
         self.shards = [
             ShardState(shard=i, model=StoreModel(self.layout))
             for i in range(n_shards)
@@ -230,7 +234,6 @@ class ClusterSession:
         self.replicate = replicate
         self.ship_lag = ship_lag
         self.reshard_at = reshard_at
-        self.copy_chunk = max(1, copy_chunk)
         self.ranges: List[RangeState] = []
         if replicate:
             self.ranges = [
@@ -320,10 +323,13 @@ class ClusterSession:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def _real(self, key: int) -> int:
+        """The real key behind a 2PC shadow key (itself otherwise)."""
+        return key - self.keyspace if key > self.keyspace else key
+
     def owner(self, key: int) -> int:
         """Owning shard; a shadow key lives with its real key."""
-        real = key - self.keyspace if key > self.keyspace else key
-        return self.ring.shard_for(real)
+        return self.ring.shard_for(self._real(key))
 
     def _lock_keys(self, op: LogicalOp) -> Tuple[int, ...]:
         if op.kind == "scan":
@@ -495,52 +501,30 @@ class ClusterSession:
                 self.counters["reqs_dropped"] += len(subs)
                 self.supervisor.observe_silence(shard_id, e)
                 continue
-            state = self.shards[shard_id]
-            first_id = state.served
+            first_id = self.shards[shard_id].served
             for i, sub in enumerate(subs):
                 self._dispatched[(shard_id, first_id + i)] = sub
-            kill = self._kills.get((e, shard_id))
-            crash_step = None
-            crash_event = None
-            if kill is not None:
-                crash_step = 1 + mix_int(
-                    self.seed, "kill", e, shard_id
-                ) % (60 * len(subs))
-                crash_event = FaultEvent(kind="cut", step=crash_step)
-                self.counters["kills"] += 1
-            msg_events = [
-                FaultEvent(
-                    kind="msg", step=1, op=f.op, mc=f.mc, delay=f.delay
-                )
-                for f in self._msg.get((e, shard_id), [])
-            ]
             exec_units.append({
                 "shard": shard_id,
                 "subs": subs,
                 "first_id": first_id,
                 "requests": [s.request for s in subs],
-                "crash_step": crash_step,
-                "crash_event": crash_event,
-                "msg": msg_events,
-                "kill": kill,
+                "msg": [
+                    FaultEvent(
+                        kind="msg", step=1, op=f.op, mc=f.mc, delay=f.delay
+                    )
+                    for f in self._msg.get((e, shard_id), [])
+                ],
+                "kill": self._kills.get((e, shard_id)),
                 "faults": faults,
-                "fence": self._fence_of(shard_id),
             })
 
         # the actual shard work: pure executors over worker processes
-        layout, compiled, config = self.layout, self.compiled, self.config
-        backend_name = self.backend.name
-        shard_states = self.shards
-
-        def unit_worker(unit: Dict[str, Any]) -> Any:
-            state = shard_states[unit["shard"]]
-            return execute_shard_epoch(
-                unit["shard"], compiled, layout,
-                state.image, state.served, unit["requests"],
-                unit["first_id"], state.model, backend_name,
-                config=config, crash_step=unit["crash_step"],
-                crash_event=unit["crash_event"], msg_faults=unit["msg"],
-                batch_fence=unit["fence"], range_fence=unit["fence"],
+        def unit_worker(unit: Dict[str, Any]) -> EpochResult:
+            shard_id = unit["shard"]
+            return self._execute(
+                shard_id, self.shards[shard_id], unit["requests"], e,
+                kill=unit["kill"], msg=unit["msg"],
             )
         results = fan_out(
             unit_worker, exec_units, jobs=self.jobs, label="cluster-epoch"
@@ -557,59 +541,133 @@ class ClusterSession:
         for (fe, fs), kill in sorted(self._kills.items()):
             if fe != e or fs in executed or not self.supervisor[fs].serving:
                 continue
-            self.counters["kills"] += 1
-            self.supervisor.observe_crash(fs, e, kill.down_for)
-            self.shards[fs].crashes += 1
-            self.trace.emit(
-                "shard_kill", epoch=e, shard=fs, step=0,
-                down_for=kill.down_for, acked_before_cut=0,
-                completed_in_dark=0,
-            )
+            self._go_dark(fs, e, kill)
         return completions
 
     # ------------------------------------------------------------------
-    def _merge(self, e: int, unit: Dict[str, Any], result: Any) -> List[int]:
-        shard_id = unit["shard"]
-        state = self.shards[shard_id]
-        subs: List[_SubOp] = unit["subs"]
-        first_id: int = unit["first_id"]
-        requests: List[Request] = unit["requests"]
+    # the one batch path: execute, commit, and the power cut
+    # ------------------------------------------------------------------
+    def _execute(
+        self,
+        shard_id: int,
+        state: ShardState,
+        requests: List[Request],
+        e: int,
+        first_id: Optional[int] = None,
+        kill: Optional[ClusterFault] = None,
+        msg: Sequence[FaultEvent] = (),
+        fence: Optional[int] = None,
+    ) -> EpochResult:
+        """Run one batch at ``state`` through the pure executor — the
+        only call into it.  Side-effect free, so it runs as a forked
+        :func:`fan_out` worker or inline alike.  The batch is stamped
+        with the slot's live fencing token unless ``fence`` overrides
+        it; a ``kill`` cuts power at a step seeded by ``(epoch, shard)``."""
+        cut = None
+        if kill is not None:
+            cut = FaultEvent(kind="cut", step=1 + mix_int(
+                self.seed, "kill", e, shard_id
+            ) % (60 * len(requests)))
+        live = self._fence_of(shard_id)
+        return execute_shard_epoch(
+            shard_id, self.compiled, self.layout, state.image, state.served,
+            requests, state.served if first_id is None else first_id,
+            state.model, self.backend.name, cut=cut, msg_faults=msg,
+            batch_fence=live if fence is None else fence, range_fence=live,
+        )
+
+    def _commit(
+        self,
+        state: ShardState,
+        e: int,
+        first_id: int,
+        requests: List[Request],
+        result: EpochResult,
+        role: str,
+        tokens: Optional[List[int]] = None,
+    ) -> bool:
+        """Fold one executed batch into ``state`` — the only place that
+        does.  A refused batch is a coordinator sequencing bug (returns
+        False).  Otherwise the batch is applied in full: a cut resumes
+        and completes on recovery — whole-system persistence — so the
+        model advances by the whole batch and must agree with the
+        durable results.  A primary's batch also enters the ground-truth
+        log and, with replication, the ship log."""
+        shard_id = state.shard
         self.violations.extend(result.violations)
         if result.outcome in ("replay_rejected", "fenced_rejected"):
-            # a live dispatch must always be at the shard's fence; the
-            # dup_req chaos path exercises the fence via _replay_probe
-            state.replays_rejected += 1
             self.counters["replays_rejected"] += 1
             self.violations.append(
-                "shard %d epoch %d: live dispatch at id %d was fenced "
-                "(coordinator sequencing bug)" % (shard_id, e, first_id)
+                "shard %d epoch %d: %s batch at id %d was refused (%s) "
+                "— coordinator sequencing bug"
+                % (shard_id, e, role, first_id, result.outcome)
             )
-            return []
-
-        # advance the ground truth: the batch is applied in full (a cut
-        # resumes and completes on recovery — whole-system persistence)
+            return False
         want = state.model.apply_all(requests)
         if result.results != want:
             self.violations.append(
-                "shard %d epoch %d: durable results %r diverge from "
-                "model %r" % (shard_id, e, result.results, want)
+                "shard %d epoch %d: %s batch at id %d: durable results %r "
+                "diverge from model %r"
+                % (shard_id, e, role, first_id, result.results, want)
             )
         state.image = result.image
         state.served += len(requests)
         state.epochs += 1
         state.steps += result.steps
-        for k, v in result.fault_counters.items():
-            state.fault_counters[k] = state.fault_counters.get(k, 0) + v
-        fence = unit["fence"]
-        for i, sub in enumerate(subs):
-            self.applied_log.append(Applied(
-                shard_id, first_id + i, sub.token, requests[i],
-                "serve", fence, e,
-            ))
-        if self.replicate:
-            self.ranges[shard_id].ship_log.append(
-                (e, first_id, list(requests))
-            )
+        if state is self.shards[shard_id]:
+            fence = self._fence_of(shard_id)
+            for i, request in enumerate(requests):
+                self.applied_log.append(Applied(
+                    shard_id, first_id + i, tokens[i] if tokens else -1,
+                    request, role, fence, e,
+                ))
+            if self.replicate:
+                self.ranges[shard_id].ship_log.append(
+                    (e, first_id, list(requests))
+                )
+        return True
+
+    def _go_dark(
+        self,
+        shard_id: int,
+        e: int,
+        kill: ClusterFault,
+        result: Optional[EpochResult] = None,
+    ) -> None:
+        """A primary's power cut: the shard goes dark for the kill's
+        window.  ``result`` is the batch the cut was armed on (None when
+        the shard was idle); a batch that finished before its cut step
+        leaves the shard up."""
+        self.counters["kills"] += 1
+        if result is not None and result.outcome != "crashed":
+            return
+        self.shards[shard_id].crashes += 1
+        self.supervisor.observe_crash(shard_id, e, kill.down_for)
+        self.trace.emit(
+            "shard_kill", epoch=e, shard=shard_id,
+            step=result.crash_step if result else 0,
+            down_for=kill.down_for,
+            acked_before_cut=len(result.acked_local) if result else 0,
+            completed_in_dark=len(result.late_local) if result else 0,
+        )
+
+    # ------------------------------------------------------------------
+    def _merge(
+        self, e: int, unit: Dict[str, Any], result: EpochResult
+    ) -> List[int]:
+        shard_id = unit["shard"]
+        subs: List[_SubOp] = unit["subs"]
+        first_id: int = unit["first_id"]
+        requests: List[Request] = unit["requests"]
+        kill: Optional[ClusterFault] = unit["kill"]
+        committed = self._commit(
+            self.shards[shard_id], e, first_id, requests, result, "serve",
+            [s.token for s in subs],
+        )
+        if kill is not None:
+            self._go_dark(shard_id, e, kill, result)
+        if not committed:
+            return []
         self._track_dirty(requests)
 
         acks = [
@@ -618,18 +676,9 @@ class ClusterSession:
         late = [
             (first_id + p, result.results[p]) for p in result.late_local
         ]
-        if result.outcome == "crashed":
-            state.crashes += 1
-            kill: ClusterFault = unit["kill"]
-            self.supervisor.observe_crash(shard_id, e, kill.down_for)
-            if late:
-                # completed in the dark; delivered at the rejoin
-                self._held.append((e + kill.down_for, shard_id, late))
-            self.trace.emit(
-                "shard_kill", epoch=e, shard=shard_id,
-                step=result.crash_step, down_for=kill.down_for,
-                acked_before_cut=len(acks), completed_in_dark=len(late),
-            )
+        if kill is not None and late:
+            # completed in the dark; delivered at the rejoin
+            self._held.append((e + kill.down_for, shard_id, late))
 
         # transport faults on the ack path
         dup = False
@@ -663,11 +712,8 @@ class ClusterSession:
     ) -> None:
         """A duplicated batch delivery: the shard's sequence fence must
         reject it (its ``served`` has moved past ``first_id``)."""
-        state = self.shards[shard_id]
-        probe = execute_shard_epoch(
-            shard_id, self.compiled, self.layout,
-            state.image, state.served, requests, first_id, state.model,
-            self.backend.name, config=self.config,
+        probe = self._execute(
+            shard_id, self.shards[shard_id], requests, e, first_id=first_id
         )
         if probe.outcome != "replay_rejected":
             self.violations.append(
@@ -675,7 +721,6 @@ class ClusterSession:
                 "re-applied instead of fenced" % (shard_id, e, first_id)
             )
             return
-        state.replays_rejected += 1
         self.counters["replays_rejected"] += 1
         self.trace.emit(
             "replay_rejected", epoch=e, shard=shard_id, first_id=first_id
@@ -709,30 +754,14 @@ class ClusterSession:
         _settled_epoch, first_id, requests = rs.ship_log[rs.shipped]
         follower = rs.follower
         assert follower is not None
-        result = execute_shard_epoch(
-            rs.range_id, self.compiled, self.layout,
-            follower.image, follower.served, requests, first_id,
-            follower.model, self.backend.name, config=self.config,
-        )
-        self.violations.extend(result.violations)
         rs.shipped += 1
-        if result.outcome != "ok":
-            self.violations.append(
-                "range %d: follower refused shipped batch at id %d (%s)"
-                % (rs.range_id, first_id, result.outcome)
-            )
-            return
-        want = follower.model.apply_all(requests)
-        if result.results != want:
-            self.violations.append(
-                "range %d: follower replay of shipped batch at id %d "
-                "diverged from the model" % (rs.range_id, first_id)
-            )
-        follower.image = result.image
-        follower.served += len(requests)
-        follower.epochs += 1
-        follower.steps += result.steps
-        self.counters["shipped"] += 1
+        result = self._execute(
+            rs.range_id, follower, requests, self.epoch, first_id=first_id
+        )
+        if self._commit(
+            follower, self.epoch, first_id, requests, result, "ship"
+        ):
+            self.counters["shipped"] += 1
 
     def _promote_dead(self, e: int) -> None:
         """Promote-on-DEAD: a range whose primary the supervisor just
@@ -864,8 +893,7 @@ class ClusterSession:
         for opcode, key, _arg in requests:
             if opcode not in (OP_PUT, OP_DELETE):
                 continue
-            real = key - self.keyspace if key > self.keyspace else key
-            if real in m["moved_set"]:
+            if self._real(key) in m["moved_set"]:
                 m["dirty"].add(key)
 
     def _reshard_copy(self, e: int) -> None:
@@ -879,8 +907,7 @@ class ClusterSession:
             return  # migration pauses while the target is unreachable
         moved: List[int] = m["moved"]
         if m["copied"] < len(moved):
-            chunk = max(1, min(self.copy_chunk, self.layout.max_batch // 2))
-            keys = moved[m["copied"]:m["copied"] + chunk]
+            keys = moved[m["copied"]:m["copied"] + COPY_CHUNK]
             requests: List[Request] = []
             for k in keys:
                 kv = self.shards[m["old_ring"].shard_for(k)].model.kv
@@ -897,14 +924,7 @@ class ClusterSession:
             elif kill is not None:
                 # nothing to copy this chunk, but the power cut strikes
                 # regardless — the idle-kill path, migration edition
-                self.counters["kills"] += 1
-                self.supervisor.observe_crash(target, e, kill.down_for)
-                self.shards[target].crashes += 1
-                self.trace.emit(
-                    "shard_kill", epoch=e, shard=target, step=0,
-                    down_for=kill.down_for, acked_before_cut=0,
-                    completed_in_dark=0,
-                )
+                self._go_dark(target, e, kill)
             m["copied"] += len(keys)
             self.counters["migrated_keys"] += len(keys)
             self.trace.emit(
@@ -934,8 +954,7 @@ class ClusterSession:
         # delta sync: re-copy every key written behind the copy pass
         delta: List[Request] = []
         for key in sorted(m["dirty"]):
-            real = key - self.keyspace if key > self.keyspace else key
-            kv = self.shards[old_ring.shard_for(real)].model.kv
+            kv = self.shards[old_ring.shard_for(self._real(key))].model.kv
             if key in kv:
                 delta.append((OP_PUT, key, kv[key]))
             else:
@@ -1005,63 +1024,12 @@ class ClusterSession:
         shard, through the same executor, fences, ground-truth log, and
         ship log as client batches — a kill mid-copy crashes the real
         machine and recovery completes the batch."""
-        if not requests:
-            return
         state = self.shards[shard_id]
         first_id = state.served
-        fence = self._fence_of(shard_id)
-        crash_step = None
-        crash_event = None
+        result = self._execute(shard_id, state, requests, e, kill=kill)
+        self._commit(state, e, first_id, requests, result, role)
         if kill is not None:
-            crash_step = 1 + mix_int(
-                self.seed, "kill", e, shard_id
-            ) % (60 * len(requests))
-            crash_event = FaultEvent(kind="cut", step=crash_step)
-            self.counters["kills"] += 1
-        result = execute_shard_epoch(
-            shard_id, self.compiled, self.layout,
-            state.image, state.served, requests, first_id,
-            state.model, self.backend.name, config=self.config,
-            crash_step=crash_step, crash_event=crash_event,
-            batch_fence=fence, range_fence=fence,
-        )
-        self.violations.extend(result.violations)
-        if result.outcome in ("replay_rejected", "fenced_rejected"):
-            self.violations.append(
-                "shard %d epoch %d: internal %s batch at id %d was "
-                "refused (%s) — coordinator sequencing bug"
-                % (shard_id, e, role, first_id, result.outcome)
-            )
-            return
-        want = state.model.apply_all(requests)
-        if result.results != want:
-            self.violations.append(
-                "shard %d epoch %d: internal %s batch results diverge "
-                "from model" % (shard_id, e, role)
-            )
-        state.image = result.image
-        state.served += len(requests)
-        state.epochs += 1
-        state.steps += result.steps
-        for k, v in result.fault_counters.items():
-            state.fault_counters[k] = state.fault_counters.get(k, 0) + v
-        for i, req in enumerate(requests):
-            self.applied_log.append(Applied(
-                shard_id, first_id + i, -1, req, role, fence, e,
-            ))
-        if self.replicate:
-            self.ranges[shard_id].ship_log.append(
-                (e, first_id, list(requests))
-            )
-        if result.outcome == "crashed" and kill is not None:
-            state.crashes += 1
-            self.supervisor.observe_crash(shard_id, e, kill.down_for)
-            self.trace.emit(
-                "shard_kill", epoch=e, shard=shard_id,
-                step=result.crash_step, down_for=kill.down_for,
-                acked_before_cut=len(result.acked_local),
-                completed_in_dark=len(result.late_local),
-            )
+            self._go_dark(shard_id, e, kill, result)
 
     # ------------------------------------------------------------------
     # negative-oracle hooks (the cluster's mutation self-test)
@@ -1082,20 +1050,16 @@ class ClusterSession:
             raise ValueError(
                 "range %d has no retired primary to probe" % range_id
             )
-        guard = rs.fence if honor_fence else rs.retired_fence
-        result = execute_shard_epoch(
-            range_id, self.compiled, self.layout,
-            retired.image, retired.served, [request], retired.served,
-            retired.model, self.backend.name, config=self.config,
-            batch_fence=rs.retired_fence, range_fence=guard,
+        # a broken fencing layer passes the stale token off as current
+        stamp = rs.retired_fence if honor_fence else rs.fence
+        gid = retired.served
+        result = self._execute(
+            range_id, retired, [request], self.epoch, fence=stamp
         )
         if result.outcome == "fenced_rejected":
             self.counters["fenced_rejected"] += 1
             return False
-        retired.model.apply_all([request])
-        retired.image = result.image
-        gid = retired.served
-        retired.served += 1
+        self._commit(retired, self.epoch, gid, [request], result, "serve")
         self.applied_log.append(Applied(
             range_id, gid, -2, request, "serve", rs.retired_fence,
             self.epoch,
@@ -1256,7 +1220,7 @@ class ClusterSession:
                         op.token, sub.request[1], sub.served_by, sub.gid
                     )
 
-    def _settle_flights(self) -> List[int]:
+    def _settle_flights(self) -> None:
         """Release locks and retire flights whose response is out and
         whose sub-ops have drained."""
         done = [t for t, f in self.inflight.items() if f.settled]
@@ -1265,7 +1229,6 @@ class ClusterSession:
             for k in self._lock_keys(flight.op):
                 if self.locks.get(k) == token:
                     del self.locks[k]
-        return []
 
     # ------------------------------------------------------------------
     def _expire(self, e: int) -> List[int]:

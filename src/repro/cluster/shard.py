@@ -81,8 +81,6 @@ class ShardState:
     epochs: int = 0
     steps: int = 0
     crashes: int = 0
-    replays_rejected: int = 0
-    fault_counters: Dict[str, int] = field(default_factory=dict)
 
     def image_digest(self) -> str:
         h = hashlib.sha256()
@@ -144,7 +142,6 @@ class EpochResult:
     steps: int = 0
     crash_step: int = 0
     violations: List[str] = field(default_factory=list)
-    fault_counters: Dict[str, int] = field(default_factory=dict)
 
 
 def execute_shard_epoch(
@@ -158,15 +155,15 @@ def execute_shard_epoch(
     base_model: StoreModel,
     backend: str,
     config: SystemConfig = DEFAULT_CONFIG,
-    crash_step: Optional[int] = None,
-    crash_event: Optional[FaultEvent] = None,
+    cut: Optional[FaultEvent] = None,
     msg_faults: Sequence[FaultEvent] = (),
     batch_fence: int = 1,
     range_fence: int = 1,
 ) -> EpochResult:
     """Run one epoch of one shard.  Pure in its arguments; touches no
     global state, so it can run in a forked worker or inline with
-    identical results."""
+    identical results.  ``cut`` is a power-cut event; it strikes at its
+    ``step`` unless the batch finishes first."""
     result = EpochResult(shard=shard)
     if not fence_admits(range_fence, batch_fence):
         # promotion fence: a batch stamped with a stale (or future)
@@ -195,12 +192,12 @@ def execute_shard_epoch(
 
     crashed = False
     pre_acked: List[int] = []
-    if crash_step is not None:
-        machine.run(steps=max(1, crash_step))
+    if cut is not None:
+        machine.run(steps=cut.step)
         if not machine.finished:
             crashed = True
             result.crash_step = machine.stats.steps
-            machine.crash(crash_event)
+            machine.crash(cut)
             # acks durable at the cut: payloads are local indices
             pre_acked = sorted({entry[3] for entry in machine.io_log})
             acked_global = {first_id + p for p in pre_acked}
@@ -240,5 +237,4 @@ def execute_shard_epoch(
         machine.pm.get(layout.out + i, 0) for i in range(len(batch))
     ]
     result.steps = machine.stats.steps
-    result.fault_counters = dict(machine.fault_counters)
     return result

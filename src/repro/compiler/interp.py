@@ -1,7 +1,7 @@
 """A stepping interpreter (VM) for the IR.
 
 The VM executes one instruction per :meth:`ThreadVM.step` call and returns
-a :class:`~repro.sim.trace.TraceEvent`, so it serves three masters:
+a :class:`~repro.trace.TraceEvent`, so it serves three masters:
 
 * trace generation for the timing simulator (run a thread to completion,
   collect the events),
@@ -53,7 +53,7 @@ from typing import (
 )
 
 from ..errors import DeadlockError, MachineLimitError
-from ..sim.trace import EK, TraceEvent
+from ..trace import EK, TraceEvent
 from .ir import WORD_BYTES, Instr, Op, Program
 
 __all__ = [

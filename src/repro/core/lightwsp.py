@@ -23,7 +23,7 @@ from ..config import DEFAULT_CONFIG, SystemConfig
 from ..runtime.backends import LIGHTWSP
 from ..runtime.policy import SchemePolicy
 from ..sim.engine import SimResult, simulate
-from ..sim.trace import TraceEvent
+from ..trace import TraceEvent
 
 __all__ = ["LIGHTWSP", "lightwsp_policy", "simulate_lightwsp", "trace_of"]
 

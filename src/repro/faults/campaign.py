@@ -48,7 +48,7 @@ from .model import (
 )
 from .oracle import Violation, check_image
 from .shrink import shrink_schedule
-from .trace import FaultTrace, NullTrace, image_hash, read_trace
+from ..trace import FaultTrace, NullTrace, image_hash, read_trace
 
 __all__ = [
     "DEFAULT_CAMPAIGN_BENCHMARKS",

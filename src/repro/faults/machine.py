@@ -50,7 +50,7 @@ from .model import (
     FaultEvent,
     tear_value,
 )
-from .trace import NullTrace
+from ..trace import NullTrace
 
 __all__ = ["FaultyMachine", "NestedPowerFailure"]
 

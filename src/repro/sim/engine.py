@@ -38,7 +38,7 @@ from .cache import CacheHierarchy, HierarchyOutcome, VictimSelector
 from .mc import AckFaults, CommitPipeline, MemoryController
 from .memory import AddressMap
 from .queues import SerialServer
-from .trace import EK, TraceEvent
+from ..trace import EK, TraceEvent
 
 __all__ = ["SchemePolicy", "SimResult", "TimingEngine", "simulate"]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 from typing import Iterable, List, TextIO
 
-from .trace import EK, TraceEvent
+from ..trace import EK, TraceEvent
 
 __all__ = ["dump_trace", "load_trace", "dumps_trace", "loads_trace"]
 

@@ -1,8 +1,6 @@
 """The single trace-event schema shared by every layer.
 
-Two kinds of trace live here, historically split between
-``repro.sim.trace`` and ``repro.faults.trace`` (both remain as
-compatibility re-export shims):
+Two kinds of trace live here:
 
 * **dynamic instruction events** (:class:`TraceEvent`, :class:`EK`) — the
   interface between the compiler's execution (or a synthetic workload

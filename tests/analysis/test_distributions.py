@@ -7,7 +7,7 @@ from repro.analysis.distributions import (
     region_size_histograms,
     store_gap_histogram,
 )
-from repro.sim.trace import EK, TraceEvent
+from repro.trace import EK, TraceEvent
 
 
 class TestHistogram:

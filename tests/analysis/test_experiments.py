@@ -51,13 +51,13 @@ class TestContext:
         assert a is b
 
     def test_compiled_trace_has_boundaries(self, ctx):
-        from repro.sim.trace import EK
+        from repro.trace import EK
 
         events = ctx.compiled_trace("namd")
         assert any(e.kind == EK.BOUNDARY for e in events)
 
     def test_baseline_trace_has_none(self, ctx):
-        from repro.sim.trace import EK
+        from repro.trace import EK
 
         events = ctx.baseline_trace("namd")
         assert not any(e.kind == EK.BOUNDARY for e in events)

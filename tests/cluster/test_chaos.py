@@ -106,3 +106,21 @@ class TestCampaign:
             if record["type"] == "cluster_scenario":
                 record["digest"] = "0" * 16
         assert replay_cluster_trace(records)
+
+    def test_replay_progress_is_per_scenario(self, tmp_path):
+        # a mismatch in the first scenario must not mark the next one
+        path = str(tmp_path / "campaign.jsonl")
+        run_cluster_campaign(
+            backends=("lightwsp-lrpo",), seeds=(0, 1), n_shards=2,
+            keyspace=12, ops=24, horizon=18, trace_path=path,
+        )
+        records = read_trace(path)
+        first = next(r for r in records if r["type"] == "cluster_scenario")
+        first["digest"] = "0" * 16
+        said = []
+        mismatches = replay_cluster_trace(records, progress=said.append)
+        assert len(mismatches) == 1
+        assert said == [
+            "  replayed lightwsp-lrpo seed=0: MISMATCH",
+            "  replayed lightwsp-lrpo seed=1: ok",
+        ]

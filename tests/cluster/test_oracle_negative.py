@@ -2,8 +2,11 @@
 and prove :func:`check_cluster` flags each break.  A safety oracle that
 cannot fail is not checking anything."""
 
+import dataclasses
+
 import pytest
 
+import repro.cluster.coordinator as coordinator
 from repro.cluster import ClusterFault, ClusterSession, check_cluster
 from repro.store.layout import OP_PUT
 
@@ -82,6 +85,43 @@ class TestBrokenShipping:
         session.run()  # finalize drains the backlog
         with pytest.raises(ValueError, match="no unshipped batch"):
             session.drop_shipped_batch(0)
+
+
+@pytest.fixture(scope="module")
+def corrupted_violations():
+    """A replicated, resharding session whose executor lies: every
+    batch's first durable result word is off by one."""
+    honest = coordinator.execute_shard_epoch
+
+    def lying(*args, **kwargs):
+        result = honest(*args, **kwargs)
+        if not result.results:
+            return result  # a refused batch has no results to corrupt
+        return dataclasses.replace(
+            result, results=[result.results[0] + 1] + result.results[1:]
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coordinator, "execute_shard_epoch", lying)
+        session = ClusterSession.build(
+            n_shards=3, keyspace=16, ops=28, seed=0, jobs=1,
+            replicate=True, reshard_at=2,
+        )
+        session.run()
+    return session.violations
+
+
+class TestCorruptedResults:
+    @pytest.mark.parametrize(
+        "role", ["serve", "ship", "migrate_in", "migrate_out"]
+    )
+    def test_commit_checks_the_model_for_every_role(
+        self, corrupted_violations, role
+    ):
+        assert any(
+            (" %s batch " % role) in v and "diverge from model" in v
+            for v in corrupted_violations
+        ), corrupted_violations[:4]
 
 
 class TestOracleStillPassesHonestRuns:

@@ -187,5 +187,3 @@ class TestValidation:
     def test_session_rejects_bad_replication_config(self):
         with pytest.raises(ValueError):
             _build(replicate=True, ship_lag=-1)
-        with pytest.raises(ValueError):
-            _build(reshard_at=2, batch=1)

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import execute_shard_epoch
 from repro.compiler import compile_program
 from repro.config import DEFAULT_CONFIG
+from repro.faults.model import FaultEvent
 from repro.store import StoreLayout, StoreModel, build_store_program
 from repro.store.layout import OP_GET, OP_PUT
 
@@ -92,7 +93,9 @@ class TestCrashMeansFinish:
     def test_cut_mid_epoch_resumes_and_completes(self, compiled_store):
         clean = run_epoch(compiled_store)
         cut = clean.steps // 2
-        result = run_epoch(compiled_store, crash_step=cut)
+        result = run_epoch(
+            compiled_store, cut=FaultEvent(kind="cut", step=cut)
+        )
         assert result.outcome == "crashed"
         assert result.crash_step > 0
         assert not result.violations
@@ -109,7 +112,9 @@ class TestCrashMeansFinish:
         clean = run_epoch(compiled_store)
         for frac in (8, 4, 2, 1.3):
             step = max(1, int(clean.steps / frac))
-            result = run_epoch(compiled_store, crash_step=step)
+            result = run_epoch(
+                compiled_store, cut=FaultEvent(kind="cut", step=step)
+            )
             assert result.outcome == "crashed", step
             assert not result.violations, (step, result.violations)
             assert result.image == clean.image, step

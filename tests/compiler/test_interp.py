@@ -12,7 +12,7 @@ from repro.compiler import (
 )
 from repro.compiler.interp import _binop, _wrap
 from repro.compiler.ir import Op
-from repro.sim.trace import EK
+from repro.trace import EK
 
 
 class TestArithmetic:

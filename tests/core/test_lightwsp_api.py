@@ -11,7 +11,7 @@ from repro.compiler import compile_program
 from repro.config import SystemConfig
 from repro.core.lightwsp import LIGHTWSP, lightwsp_policy, simulate_lightwsp, trace_of
 from repro.sim.engine import simulate
-from repro.sim.trace import EK
+from repro.trace import EK
 
 
 @pytest.fixture(scope="module")

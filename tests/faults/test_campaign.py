@@ -11,7 +11,7 @@ from repro.faults import (
     run_campaign,
     shrink_schedule,
 )
-from repro.faults.trace import iter_scenarios
+from repro.trace import iter_scenarios
 
 BENCH = ["bzip2"]
 

@@ -13,7 +13,7 @@ from repro.faults import (
     tear_value,
 )
 from repro.faults.oracle import SAMPLE_LIMIT, check_image, diff_images
-from repro.faults.trace import iter_scenarios
+from repro.trace import iter_scenarios
 
 
 class TestFaultEvent:

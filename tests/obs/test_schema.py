@@ -194,6 +194,7 @@ class TestCommittedArtifacts:
     @pytest.mark.parametrize("name", [
         "faults-campaign-seed0.jsonl",
         "cluster-chaos-seed0.jsonl",
+        "cluster-session-seed22.jsonl",
     ])
     def test_committed_traces_validate(self, name):
         records = read_trace(os.path.join(DATA, name))

@@ -7,7 +7,7 @@ from dataclasses import replace
 from repro.config import SystemConfig, VictimPolicy
 from repro.core.lightwsp import LIGHTWSP
 from repro.sim.engine import SchemePolicy, simulate
-from repro.sim.trace import EK, TraceEvent
+from repro.trace import EK, TraceEvent
 
 
 def tiny_wpq_config(entries=4):

@@ -2,7 +2,7 @@
 
 from repro.config import SystemConfig
 from repro.sim.memory import AddressMap
-from repro.sim.trace import EK, TraceEvent, count_events
+from repro.trace import EK, TraceEvent, count_events
 
 
 class TestAddressMap:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.trace import EK, TraceEvent
+from repro.trace import EK, TraceEvent
 from repro.sim.tracefile import dumps_trace, loads_trace
 
 

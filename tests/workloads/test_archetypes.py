@@ -4,7 +4,7 @@ their computed results, and the dynamic properties the suite relies on."""
 
 
 from repro.compiler import run_single, run_threads
-from repro.sim.trace import count_events
+from repro.trace import count_events
 from repro.workloads import archetypes as A
 
 

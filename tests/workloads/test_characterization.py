@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import ExperimentContext
 from repro.baselines import MEMORY_MODE, PSP_IDEAL
-from repro.sim.trace import EK, count_events
+from repro.trace import EK, count_events
 from repro.workloads import BENCHMARKS
 
 

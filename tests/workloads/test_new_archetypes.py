@@ -3,7 +3,7 @@
 
 from repro.compiler import compile_program, run_single
 from repro.config import CompilerConfig
-from repro.sim.trace import count_events
+from repro.trace import count_events
 from repro.workloads.archetypes import sort_kernel, strided
 
 
