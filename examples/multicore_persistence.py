@@ -20,11 +20,11 @@ design:
 
 from dataclasses import replace
 
-from repro.compiler import compile_program, run_threads
+from repro.analysis.experiments import trace_of
+from repro.compiler import compile_program
 from repro.config import SystemConfig
 from repro.core import PersistentMachine
-from repro.core.lightwsp import LIGHTWSP
-from repro.baselines import MEMORY_MODE
+from repro.runtime import LIGHTWSP, MEMORY_MODE
 from repro.sim import simulate
 from repro.workloads.archetypes import transactional
 
@@ -41,8 +41,8 @@ def main() -> None:
     compiled = compile_program(prog, config.compiler)
 
     # -- timing: LRPO on 8 cores / 2 MCs -------------------------------
-    base_events, _ = run_threads(prog, entries, max_steps=12_000_000)
-    lw_events, _ = run_threads(compiled.program, entries, max_steps=12_000_000)
+    base_events = trace_of(prog, entries, max_steps=12_000_000)
+    lw_events = trace_of(compiled.program, entries, max_steps=12_000_000)
     base = simulate(base_events, config, MEMORY_MODE)
     lw = simulate(lw_events, config, LIGHTWSP)
     print("8-thread transactional workload on 2 memory controllers")

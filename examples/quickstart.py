@@ -15,11 +15,11 @@ Walks the full LightWSP pipeline:
    recovered persistent image matches the failure-free run.
 """
 
-from repro.compiler import FunctionBuilder, Program, compile_program, run_single
+from repro.analysis.experiments import trace_of
+from repro.compiler import FunctionBuilder, Program, compile_program
 from repro.config import SystemConfig
 from repro.core import PersistentMachine, reference_pm
-from repro.core.lightwsp import LIGHTWSP, trace_of
-from repro.baselines import MEMORY_MODE
+from repro.runtime import LIGHTWSP, MEMORY_MODE
 from repro.sim import simulate
 
 
@@ -71,8 +71,8 @@ def main() -> None:
           % (stats.max_region_stores, config.compiler.store_threshold))
 
     # -- timing: baseline vs LightWSP ----------------------------------
-    base_events, _ = run_single(prog, max_steps=10_000_000)
-    lw_events = trace_of(compiled, max_steps=10_000_000)
+    base_events = trace_of(prog, max_steps=10_000_000)
+    lw_events = trace_of(compiled.program, max_steps=10_000_000)
     base = simulate(base_events, config, MEMORY_MODE)
     lw = simulate(lw_events, config, LIGHTWSP)
     print("memory-mode baseline : %12.0f cycles" % base.cycles)

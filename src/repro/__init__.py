@@ -8,7 +8,6 @@ Subpackages:
 * :mod:`repro.core` — LightWSP itself (WPQ redo buffering, LRPO, recovery),
 * :mod:`repro.runtime` — the pluggable persist-path backends (every
   scheme's timing policy + functional crash semantics, one registry),
-* :mod:`repro.baselines` — deprecation shims over :mod:`repro.runtime`,
 * :mod:`repro.workloads` — the 38-application synthetic suite,
 * :mod:`repro.analysis` — metrics, hardware-cost model, experiment drivers.
 """
@@ -28,15 +27,16 @@ from .config import (
 # The one-stop public API: build a program, compile it, run it on the
 # functional persistence machine or the timing engine.
 from .compiler import FunctionBuilder, Program, compile_program
-from .core import (
+from .core import PersistentMachine, reference_pm, run_with_crashes
+from .runtime import (
+    BACKENDS,
     LIGHTWSP,
-    PersistentMachine,
-    reference_pm,
-    run_with_crashes,
-    simulate_lightwsp,
+    PersistBackend,
+    SchemePolicy,
+    compare_backends,
+    get_backend,
 )
-from .runtime import BACKENDS, PersistBackend, compare_backends, get_backend
-from .sim import SchemePolicy, SimResult, simulate
+from .sim import SimResult, simulate
 
 __version__ = "1.0.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "PersistentMachine",
     "reference_pm",
     "run_with_crashes",
-    "simulate_lightwsp",
     "BACKENDS",
     "PersistBackend",
     "compare_backends",

@@ -34,13 +34,14 @@ see ``repro.parallel``).
 * ``verify``     — statically verify compiled programs against the five
                    recoverability rules (``--self-test`` runs the
                    mutation harness that proves each rule can fire)
-* ``list``       — the 38 applications and the available schemes
+* ``list``       — the 38 applications and the available backends
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from .analysis import (
     ExperimentContext,
@@ -52,13 +53,12 @@ from .analysis import (
     vg4_hw_cost,
 )
 from .analysis import experiments as E
-from .baselines import ALL_SCHEMES
 from .compiler import compile_program
 from .compiler.textir import parse_program, print_program
 from .config import DEFAULT_CONFIG
 from .core.failure import crash_sweep
-from .core.lightwsp import LIGHTWSP
 from .runtime import BACKENDS, compare_backends, format_compare, get_backend
+from .verify import VerificationError
 from .workloads import BENCHMARKS, SUITES, benchmarks_of
 
 FIGURES = {
@@ -79,9 +79,6 @@ FIGURES = {
     "ablation-lrpo": E.ablation_lrpo,
     "ablation-compiler": E.ablation_compiler,
 }
-
-SCHEMES = dict(ALL_SCHEMES)
-SCHEMES[LIGHTWSP.name] = LIGHTWSP
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -106,12 +103,12 @@ def cmd_list(args: argparse.Namespace) -> int:
         ", ".join(MIXES),
         ", ".join(STORE_BENCHMARKS),
     ))
-    print("\nschemes: %s" % ", ".join(sorted(SCHEMES)))
     print("backends:")
     for name in sorted(BACKENDS):
         b = BACKENDS[name]
-        print("  %-14s %-12s %s" % (
-            name,
+        alias = "" if b.policy.name == name else " (%s)" % b.policy.name
+        print("  %-25s %-12s %s" % (
+            name + alias,
             "recovers" if b.recovers else "no-recovery",
             b.description,
         ))
@@ -129,34 +126,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.benchmark not in BENCHMARKS:
         print("unknown benchmark %r (see `list`)" % args.benchmark)
         return 2
-    if args.backend:
-        try:
-            policy = get_backend(args.backend).policy
-        except KeyError as exc:
-            print(exc.args[0])
-            return 2
-        label = get_backend(args.backend).name
-    elif args.scheme in SCHEMES:
-        policy, label = SCHEMES[args.scheme], args.scheme
-    else:
-        print("unknown scheme %r (see `list`)" % args.scheme)
-        return 2
+    backend = get_backend(args.backend)
     if args.verify:
-        from .verify import VerificationError
-
-        try:
-            compile_program(
-                BENCHMARKS[args.benchmark].build(scale=args.scale),
-                DEFAULT_CONFIG.compiler,
-                verify=True,
-            )
-        except VerificationError as exc:
-            print("static verification FAILED, refusing to run:")
-            print(exc)
-            return 1
+        compile_program(
+            BENCHMARKS[args.benchmark].build(scale=args.scale),
+            DEFAULT_CONFIG.compiler,
+            verify=True,
+        )
     ctx = ExperimentContext(scale=args.scale, benchmarks=[args.benchmark])
-    slowdown, result = ctx.slowdown(args.benchmark, policy)
-    print("%s under %s:" % (args.benchmark, label))
+    slowdown, result = ctx.slowdown(args.benchmark, backend.policy)
+    print("%s under %s:" % (args.benchmark, backend.name))
     print("  cycles       %12.0f" % result.cycles)
     print("  slowdown     %12.3f (vs memory-mode)" % slowdown)
     print("  instructions %12d" % result.instructions)
@@ -172,17 +151,33 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if args.name not in FIGURES:
         print("unknown figure %r (see `list`)" % args.name)
         return 2
-    ctx = ExperimentContext(
-        scale=args.scale,
-        benchmarks=args.benchmarks if args.benchmarks else None,
-    )
+    try:
+        ctx = ExperimentContext(
+            scale=args.scale,
+            benchmarks=args.benchmarks if args.benchmarks else None,
+        )
+    except KeyError as exc:
+        print("%s (see `list`)" % exc.args[0])
+        return 2
     print(format_figure(FIGURES[args.name](ctx)))
     return 0
 
 
+def _read_lir(path: str) -> Optional[str]:
+    """The text of a ``.lir`` file, or None after a one-line message."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        print("cannot read %s: %s" % (path, exc.strerror or exc))
+        return None
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
-    with open(args.file) as fh:
-        program = parse_program(fh.read())
+    source = _read_lir(args.file)
+    if source is None:
+        return 2
+    program = parse_program(source)
     from .config import CompilerConfig
 
     compiled = compile_program(
@@ -233,8 +228,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.targets:
         for name in args.targets:
             if name.endswith(".lir"):
-                with open(name) as fh:
-                    targets.append((name, parse_program(fh.read())))
+                source = _read_lir(name)
+                if source is None:
+                    return 2
+                targets.append((name, parse_program(source)))
             elif name in BENCHMARKS:
                 targets.append(
                     (name, BENCHMARKS[name].build(scale=args.scale))
@@ -469,31 +466,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("unknown workload %r (choose from: %s)"
               % (args.workload, ", ".join(MIXES)))
         return 2
-    from .verify import VerificationError
-
-    try:
-        report = run_serve(
-            workload=args.workload,
-            ops=args.ops,
-            shards=args.shards,
-            seed=args.seed,
-            keyspace=args.keys,
-            value_words=args.value_words,
-            batch=args.batch,
-            dist=args.dist,
-            crash_epoch=args.crash_epoch,
-            crash_seed=args.crash_seed,
-            crash_torn=args.crash_torn,
-            crash_step=args.crash_step,
-            progress=print,
-            verify=True if args.verify else None,
-            backend=args.backend,
-            trace_path=args.trace,
-        )
-    except VerificationError as exc:
-        print("static verification FAILED, refusing to serve:")
-        print(exc)
-        return 1
+    report = run_serve(
+        workload=args.workload,
+        ops=args.ops,
+        shards=args.shards,
+        seed=args.seed,
+        keyspace=args.keys,
+        value_words=args.value_words,
+        batch=args.batch,
+        dist=args.dist,
+        crash_epoch=args.crash_epoch,
+        crash_seed=args.crash_seed,
+        crash_torn=args.crash_torn,
+        crash_step=args.crash_step,
+        progress=print,
+        verify=True if args.verify else None,
+        backend=args.backend,
+        trace_path=args.trace,
+    )
     print("%s/%s seed=%d: %d requests (%d load + %d mixed) over %d shard(s)"
           % (report.workload, report.dist, report.seed, report.total_ops,
              report.load_ops, report.ops, len(report.shards)))
@@ -626,8 +616,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if args.workload == "store" and benchmarks is None:
         benchmarks = list(STORE_CAMPAIGN_BENCHMARKS)
     trace_path = args.trace or ("faults-campaign-seed%d.jsonl" % args.seed)
-    from .verify import VerificationError
-
     try:
         result = run_campaign(
             seed=args.seed,
@@ -640,10 +628,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
             backend=args.backend,
             jobs=args.jobs,
         )
-    except VerificationError as exc:
-        print("static verification FAILED, refusing to inject faults:")
-        print(exc)
-        return 1
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else str(exc))
         return 2
@@ -849,21 +833,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="configuration + cost tables")
-    sub.add_parser("list", help="benchmarks, schemes, figures")
+    # options several commands share, declared once
+    jobs_opt = argparse.ArgumentParser(add_help=False)
+    jobs_opt.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (independent work units fan out; results "
+             "are bit-identical to --jobs 1)",
+    )
+    verify_opt = argparse.ArgumentParser(add_help=False)
+    verify_opt.add_argument(
+        "--verify", action="store_true",
+        help="statically verify every compiled program first and refuse "
+             "to go on if any fails",
+    )
 
-    p_run = sub.add_parser("run", help="simulate one benchmark")
+    sub.add_parser("info", help="configuration + cost tables")
+    sub.add_parser("list", help="benchmarks, backends, figures")
+
+    p_run = sub.add_parser(
+        "run", parents=[verify_opt], help="simulate one benchmark"
+    )
     p_run.add_argument("benchmark")
-    p_run.add_argument("--scheme", default="LightWSP")
     p_run.add_argument(
         "--backend", default=None,
-        help="persist backend (see `list`); overrides --scheme",
+        help="persist backend, or its legacy scheme name (see `list`)",
     )
     p_run.add_argument("--scale", type=float, default=0.1)
-    p_run.add_argument(
-        "--verify", action="store_true",
-        help="statically verify the compiled benchmark before running",
-    )
 
     p_fig = sub.add_parser("figure", help="regenerate one figure")
     p_fig.add_argument("name")
@@ -871,7 +866,8 @@ def main(argv=None) -> int:
     p_fig.add_argument("--benchmarks", nargs="*", default=None)
 
     p_serve = sub.add_parser(
-        "serve", help="serve a KV workload on the persistent store"
+        "serve", parents=[verify_opt],
+        help="serve a KV workload on the persistent store",
     )
     p_serve.add_argument(
         "--workload", default="ycsb-a",
@@ -902,10 +898,6 @@ def main(argv=None) -> int:
     p_serve.add_argument(
         "--smoke", action="store_true",
         help="small fixed-cost run with a crash (CI smoke test)",
-    )
-    p_serve.add_argument(
-        "--verify", action="store_true",
-        help="statically verify every epoch's program before serving",
     )
     p_serve.add_argument(
         "--backend", default=None,
@@ -994,7 +986,8 @@ def main(argv=None) -> int:
     )
 
     p_cmp = sub.add_parser(
-        "compare", help="one workload across every persist backend"
+        "compare", parents=[jobs_opt],
+        help="one workload across every persist backend",
     )
     p_cmp.add_argument("benchmark", nargs="?", default="bzip2")
     p_cmp.add_argument("--scale", type=float, default=0.05)
@@ -1006,13 +999,9 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="small fixed-cost run over all backends (CI smoke test)",
     )
-    p_cmp.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (one backend per worker)",
-    )
 
     p_bench = sub.add_parser(
-        "bench",
+        "bench", parents=[jobs_opt],
         help="run the curated perf suite, emit BENCH_*.json, and "
              "optionally gate against a baseline",
     )
@@ -1027,10 +1016,6 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--scale", type=float, default=0.25)
-    p_bench.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (one entry per worker)",
-    )
     p_bench.add_argument(
         "--out", default="BENCH_pr9.json", metavar="PATH",
         help="where to write the machine-readable report",
@@ -1054,7 +1039,9 @@ def main(argv=None) -> int:
              "PATH.json hot-function summary (forces --jobs 1)",
     )
 
-    p_sweep = sub.add_parser("crash-sweep", help="crash-test a benchmark")
+    p_sweep = sub.add_parser(
+        "crash-sweep", parents=[jobs_opt], help="crash-test a benchmark"
+    )
     p_sweep.add_argument("benchmark")
     p_sweep.add_argument("--scale", type=float, default=0.02)
     p_sweep.add_argument(
@@ -1069,17 +1056,13 @@ def main(argv=None) -> int:
         "--backend", default=None,
         help="persist backend to sweep (see `list`)",
     )
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (probe points sharded round-robin)",
-    )
 
     p_faults = sub.add_parser(
         "faults", help="adversarial fault-injection campaigns"
     )
     fsub = p_faults.add_subparsers(dest="faults_command", required=True)
     p_camp = fsub.add_parser(
-        "campaign",
+        "campaign", parents=[jobs_opt, verify_opt],
         help="seeded fault-schedule sweep + defense-off self-validation",
     )
     p_camp.add_argument("--seed", type=int, default=0)
@@ -1100,20 +1083,9 @@ def main(argv=None) -> int:
         help="skip the defense-off self-validation pass",
     )
     p_camp.add_argument(
-        "--verify", action="store_true",
-        help="statically verify each compiled benchmark before "
-             "injecting faults",
-    )
-    p_camp.add_argument(
         "--backend", default=None,
         help="persist backend under attack (must be crash-consistent; "
              "see `list`)",
-    )
-    p_camp.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (benchmarks, then defense-off modes, "
-             "sharded round-robin; the trace is bit-identical to "
-             "--jobs 1)",
     )
     p_camp.add_argument(
         "--replicate", action="store_true",
@@ -1135,13 +1107,10 @@ def main(argv=None) -> int:
              "(needs --replicate)",
     )
     p_replay = fsub.add_parser(
-        "replay", help="re-run every scenario of a recorded trace"
+        "replay", parents=[jobs_opt],
+        help="re-run every scenario of a recorded trace",
     )
     p_replay.add_argument("trace")
-    p_replay.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (scenarios sharded round-robin)",
-    )
     fsub.add_parser("list", help="fault classes, nested points, modes")
 
     p_cluster = sub.add_parser(
@@ -1194,14 +1163,11 @@ def main(argv=None) -> int:
         )
 
     # serve and reshard run one session: shared session options
-    session_opts = argparse.ArgumentParser(add_help=False)
+    session_opts = argparse.ArgumentParser(add_help=False,
+                                           parents=[jobs_opt])
     session_opts.add_argument("--txn-every", type=int, default=6,
                               help="every Nth mixed-phase PUT becomes a "
                                    "cross-shard transaction")
-    session_opts.add_argument("--jobs", type=int, default=1,
-                              help="worker processes (shard epochs fan "
-                                   "out; results are bit-identical to "
-                                   "--jobs 1)")
     session_opts.add_argument("--trace", default=None,
                               help="JSONL session trace path")
     session_opts.add_argument("--no-chaos", action="store_true",
@@ -1283,6 +1249,12 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if getattr(args, "backend", None) is not None:
+        try:
+            args.backend = get_backend(args.backend).name
+        except KeyError as exc:
+            print(exc.args[0])
+            return 2
     handler = {
         "info": cmd_info,
         "list": cmd_list,
@@ -1298,7 +1270,13 @@ def main(argv=None) -> int:
         "cluster": cmd_cluster,
         "trace": cmd_trace,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except VerificationError as exc:
+        print("static verification FAILED, refusing `repro %s`:"
+              % args.command)
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ from typing import List, Sequence, Tuple
 
 from ..compiler.pipeline import CompiledProgram
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..core.lightwsp import LIGHTWSP, trace_of
 from ..core.machine import PersistentMachine
+from ..runtime.backends import LIGHTWSP
 from ..sim.engine import simulate
 from ..trace import count_events
+from .experiments import trace_of
 
 __all__ = ["CrossCheck", "cross_validate"]
 
@@ -54,7 +55,7 @@ def cross_validate(
     (the machine schedules, the engine replays the interpreter's
     schedule), so only schedule-independent counters are compared there.
     """
-    events = trace_of(compiled, entries=entries)
+    events = trace_of(compiled.program, entries=entries)
     stats = count_events(events)
     timing = simulate(events, config, LIGHTWSP)
 

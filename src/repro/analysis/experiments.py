@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines import CAPRI, CWSP, MEMORY_MODE, PPA, PSP_IDEAL
 from ..compiler.interp import run_single, run_threads
+from ..compiler.ir import Program
 from ..compiler.pipeline import compile_program
 from ..config import CXL_PRESETS, DEFAULT_CONFIG, SystemConfig, VictimPolicy
-from ..core.lightwsp import LIGHTWSP
-from ..sim.engine import SchemePolicy, SimResult, simulate
+from ..runtime.backends import CAPRI, CWSP, LIGHTWSP, MEMORY_MODE, PPA, PSP_IDEAL
+from ..runtime.policy import SchemePolicy
+from ..sim.engine import SimResult, simulate
 from ..trace import TraceEvent, count_events
 from ..workloads.suite import BENCHMARKS, MEMORY_INTENSIVE, Benchmark
 from .metrics import geomean, per_suite
@@ -52,12 +53,28 @@ __all__ = [
     "fig18_wpq_hits",
     "table1_config",
     "table3_cxl",
+    "trace_of",
     "vg2_cam_latency",
     "vg3_region_stats",
     "vg4_hw_cost",
 ]
 
 _MAX_TRACE_STEPS = 12_000_000
+
+
+def trace_of(
+    program: Program,
+    entries: Sequence[Tuple[str, Sequence[int]]] = (("main", ()),),
+    max_steps: int = 4_000_000,
+) -> List[TraceEvent]:
+    """The dynamic trace of a program (single- or multi-thread); pass
+    ``compiled.program`` for the instrumented binary."""
+    if len(entries) == 1:
+        fname, args = entries[0]
+        events, _ = run_single(program, fname, args=args, max_steps=max_steps)
+        return events
+    events, _ = run_threads(program, entries, max_steps=max_steps)
+    return events
 
 
 @dataclass
@@ -116,16 +133,6 @@ class ExperimentContext:
     def benchmarks(self) -> List[Benchmark]:
         return [BENCHMARKS[n] for n in self.names]
 
-    def _trace(self, program, entries) -> List[TraceEvent]:
-        if len(entries) == 1:
-            fname, args = entries[0]
-            events, _ = run_single(
-                program, fname, args=args, max_steps=_MAX_TRACE_STEPS
-            )
-            return events
-        events, _ = run_threads(program, entries, max_steps=_MAX_TRACE_STEPS)
-        return events
-
     def baseline_trace(
         self, name: str, threads: Optional[int] = None
     ) -> List[TraceEvent]:
@@ -133,7 +140,9 @@ class ExperimentContext:
         key = (name, threads or bench.threads)
         if key not in self._base:
             program = bench.build(scale=self.scale, threads=threads)
-            self._base[key] = self._trace(program, bench.entries(threads))
+            self._base[key] = trace_of(
+                program, bench.entries(threads), _MAX_TRACE_STEPS
+            )
         return self._base[key]
 
     def compiled_trace(
@@ -148,8 +157,8 @@ class ExperimentContext:
         if key not in self._compiled:
             program = bench.build(scale=self.scale, threads=threads)
             compiled = compile_program(program, cc)
-            self._compiled[key] = self._trace(
-                compiled.program, bench.entries(threads)
+            self._compiled[key] = trace_of(
+                compiled.program, bench.entries(threads), _MAX_TRACE_STEPS
             )
         return self._compiled[key]
 

@@ -1,28 +1,22 @@
 """LightWSP's core: the functional persistence machine, WPQ redo buffer,
-region-ID management, recovery, snooping, and the scheme policy."""
+region-ID management, and recovery."""
 
 from .failure import crash_sweep, reference_pm, run_with_crashes
-from .lightwsp import LIGHTWSP, simulate_lightwsp, trace_of
 from .machine import Continuation, MachineStats, PersistentMachine
 from .recovery import evaluate_recipe, rebuild_registers
 from .regionid import RegionIdAllocator
-from .snooping import make_victim_selector
 from .wpq import FunctionalWPQ, WPQEntry, WPQFullError
 
 __all__ = [
     "crash_sweep",
     "reference_pm",
     "run_with_crashes",
-    "LIGHTWSP",
-    "simulate_lightwsp",
-    "trace_of",
     "Continuation",
     "MachineStats",
     "PersistentMachine",
     "evaluate_recipe",
     "rebuild_registers",
     "RegionIdAllocator",
-    "make_victim_selector",
     "FunctionalWPQ",
     "WPQEntry",
     "WPQFullError",

@@ -34,7 +34,7 @@ from .model import (
 )
 from .oracle import Violation, check_image, diff_images
 from .shrink import shrink_schedule
-from ..trace import FaultTrace, NullTrace, image_hash, read_trace
+from ..trace import NullTrace, image_hash, read_trace
 
 __all__ = [
     "ACK_LATENCY_STEPS",
@@ -45,7 +45,6 @@ __all__ = [
     "Defenses",
     "FAULT_CLASSES",
     "FaultEvent",
-    "FaultTrace",
     "FaultyMachine",
     "MSG_OPS",
     "NESTED_POINTS",

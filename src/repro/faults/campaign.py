@@ -48,7 +48,7 @@ from .model import (
 )
 from .oracle import Violation, check_image
 from .shrink import shrink_schedule
-from ..trace import FaultTrace, NullTrace, image_hash, read_trace
+from ..trace import JsonlTrace, NullTrace, image_hash, read_trace
 
 __all__ = [
     "DEFAULT_CAMPAIGN_BENCHMARKS",
@@ -534,7 +534,7 @@ def run_campaign(
     )
     names = list(benchmarks or DEFAULT_CAMPAIGN_BENCHMARKS)
     say = progress or (lambda msg: None)
-    trace = FaultTrace(trace_path) if trace_path else NullTrace()
+    trace = JsonlTrace(trace_path) if trace_path else NullTrace()
     result = CampaignResult(seed=seed, benchmarks=names,
                             backend=backend.name,
                             fault_classes=fault_classes,

@@ -1,12 +1,10 @@
 """The concrete backends: every scheme's policy + runtime, defined once.
 
-Each scheme's timing knobs used to live in ``repro.baselines`` (and
-LightWSP's in ``repro.core.lightwsp``) while its functional behaviour
-was hard-coded into the machine; both now derive from the single
-:class:`~repro.runtime.backend.PersistBackend` registered here.  The
-paper-mapping rationale for each policy's knob values stays with the
-deprecation shims in :mod:`repro.baselines` (cwsp/capri/ppa/psp/
-memory_mode module docstrings) and :mod:`repro.core.lightwsp`.
+Each scheme is one :class:`~repro.runtime.backend.PersistBackend`
+registered here: its timing policy (replayed by the shared engine) and
+its functional crash semantics (executed by the persistence machine,
+fault injector and KV store).  The comment above each policy maps the
+paper's characterization of the scheme (§II-C2, §V) onto its knobs.
 
 Fault-class capabilities are literal tuples (kept a subset of
 :data:`repro.faults.model.FAULT_CLASSES` by test) rather than imports,
@@ -50,9 +48,19 @@ _EAGER_FAULTS = ("clean_cut", "nested_cut")
 
 
 # ----------------------------------------------------------------------
-# timing policies (one per scheme; knob rationale in the shim modules)
+# timing policies (one per scheme)
 # ----------------------------------------------------------------------
 
+# LightWSP (§III):
+# * every store (data, checkpoint, PC-checkpointing boundary) places one
+#   8-byte entry on the non-temporal persist path (`entry_factor=1`);
+# * WPQs are gated: entries quarantine per region and flush via the
+#   commit pipeline, i.e. lazy region-level persist ordering (§III-B);
+# * the core never waits at a region boundary (`boundary_wait=False`);
+#   the only stalls are front-end-buffer back-pressure when the path or
+#   WPQ cannot keep up.
+# Hardware cost (§V-G4): a 2-byte flush ID per MC; everything else (WCB
+# as front-end buffer, battery-backed WPQ) already exists.
 LIGHTWSP = SchemePolicy(
     name="LightWSP",
     persists=True,
@@ -64,6 +72,25 @@ LIGHTWSP = SchemePolicy(
     snoop=True,
 )
 
+# cWSP (ISCA'24), the state of the art of Fig. 10.  It forms idempotent
+# regions (no checkpoint stores: re-executing an interrupted region
+# reproduces its outputs) and persists speculatively across region
+# boundaries, undoing via hardware undo logs on a mis-speculated power
+# failure:
+# * idempotent regions, no instrumentation: the original binary runs
+#   with hardware-tracked region markers; idempotent regions are short
+#   because anti-dependences force cuts (`implicit_region_stores=16`);
+# * speculative persistence: stores drain to PM immediately and never
+#   wait for older regions (`gated=False`, `boundary_wait=False`);
+# * undo-logging delay: every PM write first copies the old value;
+#   dedicated hardware mitigates it but it still inflates the drain
+#   (`drain_factor=1.25`), which is why cWSP degrades on write-intensive
+#   workloads (§II-C2);
+# * core-MC speculation tracking: recurring messages keep the region
+#   persistence status coherent (`region_comm_cycles=6`).
+# Net effect: a slightly better average slowdown than LightWSP (5.7% vs
+# 8.5% in Fig. 10, no checkpoint-store overhead) at the price of
+# intrusive core and MC changes.
 CWSP = SchemePolicy(
     name="cWSP",
     persists=True,
@@ -77,6 +104,20 @@ CWSP = SchemePolicy(
     implicit_region_stores=16,
 )
 
+# Capri (HPDC'22): a separate L1-to-PM persist path with hardware
+# redo+undo logging:
+# * 64-byte granularity: every 8 B store pushes a whole cacheline down
+#   the persist path, an 8x bandwidth amplification (`entry_factor=8`).
+#   This is what buries Capri at the practical 4 GB/s path bandwidth
+#   (Fig. 7); with its original 32 GB/s assumption it would sit near 20%;
+# * hardware-delineated failure-atomic regions: front-end/back-end
+#   buffers bound the region size (`implicit_region_stores`); the
+#   original binary runs uninstrumented, Capri's own compiler pass only
+#   marks boundaries;
+# * multi-MC ordering by stopping traffic: at each region end the path
+#   stalls until the previous region is fully flushed to PM
+#   (`boundary_wait=True`, `wait_for="flush"`).
+# Hardware cost (§V-G4): 54 KB per core for the redo+undo buffers.
 CAPRI = SchemePolicy(
     name="Capri",
     persists=True,
@@ -90,6 +131,22 @@ CAPRI = SchemePolicy(
     implicit_region_stores=32,
 )
 
+# PPA (MICRO'23) replays unpersisted stores after a failure, which needs
+# store integrity: operand registers of committed stores stay pinned in
+# the physical register file until the stores persist:
+# * hardware-delineated regions: a region ends when the PRF can no
+#   longer pin registers, modelled as a fixed store budget
+#   (`implicit_region_stores=24`); the original binary runs, with no
+#   checkpoint stores;
+# * eager writeback: every store starts persisting as soon as it reaches
+#   L1 (`gated=False`), overlapping only with its own region;
+# * boundary stall: at each implicit boundary the pipeline stalls until
+#   all the region's stores reach the battery-backed WPQ domain
+#   (`boundary_wait=True`).  This is the wait LightWSP's LRPO removes,
+#   and why PPA's persistence efficiency trails in Fig. 8 whenever
+#   regions are short.
+# Hardware cost (§V-G4): 337 B per core for store-integrity tracking,
+# plus renaming-stage critical-path pressure (not a timing effect here).
 PPA = SchemePolicy(
     name="PPA",
     persists=True,
@@ -101,6 +158,15 @@ PPA = SchemePolicy(
     implicit_region_stores=24,
 )
 
+# The ideal partial-system persistence of Fig. 9 (§V-D), after an
+# optimized BBB (HPCA'21) whose performance approaches Intel eADR:
+# persist barriers are free because the whole cache hierarchy is in the
+# battery-backed domain (`persists=False`: no persist path, no
+# boundaries, no stalls).  What it cannot do is use DRAM as a last-level
+# cache: no battery saves terabytes of DRAM, so persistent data lives in
+# PM behind the SRAM caches only (`uses_dram_cache=False`).  Every L2
+# miss pays full PM latency, which is the whole 51.2% average gap Fig. 9
+# reports for memory-intensive applications.
 PSP_IDEAL = SchemePolicy(
     name="PSP-Ideal",
     persists=False,
@@ -108,6 +174,10 @@ PSP_IDEAL = SchemePolicy(
     snoop=False,
 )
 
+# The evaluation baseline (§V-A): Optane PMem memory mode running the
+# original binary.  DRAM is a direct-mapped cache over PM, as in
+# LightWSP, but nothing persists crash-consistently: no persist path, no
+# WPQ gating, no region boundaries.  Every slowdown is normalized to it.
 MEMORY_MODE = SchemePolicy(
     name="memory-mode",
     persists=False,

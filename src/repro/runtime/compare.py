@@ -169,8 +169,8 @@ def compare_backends(
     fixed (all computed once, up front), so ``jobs > 1`` runs one
     backend per worker; rows come back in backend order and are
     identical to the serial run."""
+    from ..analysis.experiments import trace_of
     from ..compiler.pipeline import compile_program
-    from ..core.lightwsp import trace_of
     from ..parallel import fan_out
     from ..sim.engine import simulate
     from ..workloads import BENCHMARKS
@@ -188,7 +188,7 @@ def compare_backends(
             "compare needs a single-threaded benchmark (got %r)" % benchmark
         )
     compiled = compile_program(bench.build(scale=scale), config.compiler)
-    events = trace_of(compiled)
+    events = trace_of(compiled.program)
     baseline = simulate(events, config, MEMORY_MODE).cycles
     crash_step = _crash_point(compiled, config)
 

@@ -2,7 +2,7 @@
 queueing primitives, and the scheme-parameterized engine."""
 
 from .cache import Cache, CacheHierarchy
-from .engine import SchemePolicy, SimResult, TimingEngine, simulate
+from .engine import SimResult, TimingEngine, simulate
 from .mc import CommitPipeline, MemoryController
 from .memory import AddressMap
 from .queues import SerialServer, SlotPool
@@ -12,7 +12,6 @@ from .tracefile import dump_trace, dumps_trace, load_trace, loads_trace
 __all__ = [
     "Cache",
     "CacheHierarchy",
-    "SchemePolicy",
     "SimResult",
     "TimingEngine",
     "simulate",

@@ -5,7 +5,7 @@ One engine serves every scheme in the paper; the policies differ only in a
 handful of knobs (persist-path entry granularity, WPQ gating vs eager
 drain, whether the core stalls at region boundaries, per-entry drain
 inflation for undo logging, DRAM cache availability).  See
-:mod:`repro.core.lightwsp` and :mod:`repro.baselines` for the instances.
+:mod:`repro.runtime.backends` for the instances.
 
 The model is a deterministic multi-core discrete-event replay:
 
@@ -26,7 +26,6 @@ The model is a deterministic multi-core discrete-event replay:
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -40,7 +39,7 @@ from .memory import AddressMap
 from .queues import SerialServer
 from ..trace import EK, TraceEvent
 
-__all__ = ["SchemePolicy", "SimResult", "TimingEngine", "simulate"]
+__all__ = ["SimResult", "TimingEngine", "simulate"]
 
 #: fraction of post-L1 load latency exposed to the core (OoO/MLP hiding)
 LOAD_EXPOSURE = 0.35
@@ -50,22 +49,9 @@ LOCK_OP_CYCLES = 6.0
 #: MMIO doorbell write, not a full block transfer
 IO_OP_CYCLES = 300.0
 
-# SchemePolicy lives in repro.runtime.policy now (one definition shared
-# by the timing and functional planes); re-exported here for the
-# historic ``from repro.sim.engine import SchemePolicy`` spelling.
-
-
 #: below this many trace events the numpy import costs more than the
 #: vectorised scan saves; small traces use the pure-Python path
 _VECTOR_MIN_EVENTS = 4096
-
-
-def _vector_enabled() -> bool:
-    """Whether numpy-backed trace precomputation is allowed.  Set
-    ``REPRO_SIM_VECTOR=0`` to force the pure-Python fallback (the two
-    paths are value-identical; the hatch exists for triage and for
-    environments without numpy)."""
-    return os.environ.get("REPRO_SIM_VECTOR", "1") not in ("", "0")
 
 
 def _next_nontrivial(events: List[TraceEvent]) -> List[int]:
@@ -78,7 +64,7 @@ def _next_nontrivial(events: List[TraceEvent]) -> List[int]:
     # The numpy path only pays off past a few thousand events: below
     # that the one-time interpreter import costs more than it saves,
     # so smoke-sized traces stay on the pure-Python scan.
-    if n >= _VECTOR_MIN_EVENTS and _vector_enabled():
+    if n >= _VECTOR_MIN_EVENTS:
         try:
             import numpy
         except ImportError:

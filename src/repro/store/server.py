@@ -55,7 +55,6 @@ __all__ = [
 
 #: everything below this word address is the checkpoint array
 DATA_FLOOR = Program.CHECKPOINT_WORDS_PER_CORE * Program.MAX_CONTEXTS
-_DATA_FLOOR = DATA_FLOOR  # historical private name
 
 
 def _mix_int(*parts: int) -> int:
@@ -363,7 +362,7 @@ class StoreServer:
         shard.image = {
             w: v
             for w, v in machine.pm.items()
-            if w >= _DATA_FLOOR and v != 0
+            if w >= DATA_FLOOR and v != 0
         }
         shard.served += len(requests)
         shard.report.ops += len(requests)

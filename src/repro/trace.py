@@ -40,7 +40,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TRACE_SCHEMA_MAJOR",
     "JsonlTrace",
-    "FaultTrace",
     "NullTrace",
     "TraceSchemaError",
     "TraceParseError",
@@ -262,10 +261,6 @@ class JsonlTrace:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: the historical name: fault campaigns were the first JSONL emitters
-FaultTrace = JsonlTrace
 
 
 class NullTrace:

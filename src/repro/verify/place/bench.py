@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ...baselines import MEMORY_MODE
-from ...compiler.interp import run_single, run_threads
-from ...compiler.ir import Program
+from ...analysis.experiments import trace_of
 from ...compiler.pipeline import CompiledProgram, compile_program
 from ...config import DEFAULT_CONFIG, CompilerConfig
-from ...sim.engine import SchemePolicy, simulate
+from ...runtime.backends import MEMORY_MODE
+from ...runtime.policy import SchemePolicy
+from ...sim.engine import simulate
 from ...workloads.suite import BENCHMARKS
 from .differential import trace_digest
 from .minimize import minimize_compiled
@@ -48,20 +48,10 @@ _MAX_TRACE_STEPS = 12_000_000
 Entries = List[Tuple[str, Tuple[int, ...]]]
 
 
-def _trace(program: "Program", entries: Entries) -> list:
-    if len(entries) == 1:
-        fname, args = entries[0]
-        events, _ = run_single(
-            program, fname, args=args, max_steps=_MAX_TRACE_STEPS
-        )
-        return events
-    events, _ = run_threads(program, entries, max_steps=_MAX_TRACE_STEPS)
-    return events
-
-
 def _slowdown(compiled: CompiledProgram, entries: Entries,
-              base_cycles: float, policy: "SchemePolicy") -> float:
-    res = simulate(_trace(compiled.program, entries), DEFAULT_CONFIG, policy)
+              base_cycles: float, policy: SchemePolicy) -> float:
+    events = trace_of(compiled.program, entries, _MAX_TRACE_STEPS)
+    res = simulate(events, DEFAULT_CONFIG, policy)
     return res.cycles / base_cycles
 
 
@@ -81,7 +71,8 @@ def placement_bench(
         program = bench.build(scale=scale)
         entries = bench.entries()
         base_cycles = simulate(
-            _trace(program, entries), DEFAULT_CONFIG, MEMORY_MODE
+            trace_of(program, entries, _MAX_TRACE_STEPS), DEFAULT_CONFIG,
+            MEMORY_MODE,
         ).cycles
 
         base = compile_program(program, config, verify=False)

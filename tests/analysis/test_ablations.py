@@ -24,7 +24,7 @@ class TestLRPOAblation:
     def test_same_binary_both_arms(self, ctx):
         """Both arms replay the compiled trace: instruction counts equal."""
         from repro.analysis.experiments import LIGHTWSP_NAIVE
-        from repro.core.lightwsp import LIGHTWSP
+        from repro.runtime import LIGHTWSP
 
         a = ctx.run("lbm", LIGHTWSP)
         b = ctx.run("lbm", LIGHTWSP_NAIVE)

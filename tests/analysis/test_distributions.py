@@ -86,13 +86,13 @@ class TestRegionSizeHistograms:
         from helpers import saxpy_program
         from repro.compiler import compile_program
         from repro.config import CompilerConfig
-        from repro.core.lightwsp import trace_of
+        from repro.analysis.experiments import trace_of
 
         threshold = 8
         compiled = compile_program(
             saxpy_program(n=64), CompilerConfig(store_threshold=threshold)
         )
-        events = trace_of(compiled)
+        events = trace_of(compiled.program)
         _, stores = region_size_histograms(events)
         # store-like per region includes the boundary store: threshold + 1
         assert stores.max() <= threshold + 1

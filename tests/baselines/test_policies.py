@@ -1,13 +1,21 @@
 """Tests for the baseline scheme policies: the knob settings ARE the
 model, so they are pinned here against the paper's descriptions."""
 
-from repro.baselines import ALL_SCHEMES, CAPRI, CWSP, MEMORY_MODE, PPA, PSP_IDEAL
-from repro.core.lightwsp import LIGHTWSP
+from repro.runtime import (
+    BACKENDS,
+    CAPRI,
+    CWSP,
+    LIGHTWSP,
+    MEMORY_MODE,
+    PPA,
+    PSP_IDEAL,
+)
 
 
 class TestPolicyKnobs:
     def test_registry_complete(self):
-        assert set(ALL_SCHEMES) == {
+        assert {b.policy.name for b in BACKENDS.values()} == {
+            "LightWSP",
             "memory-mode",
             "Capri",
             "PPA",

@@ -90,11 +90,12 @@ class TestMachineIO:
         assert crash_sweep(compiled, stride=1) == []
 
     def test_engine_charges_io_latency(self):
-        from repro.core.lightwsp import LIGHTWSP, trace_of
+        from repro.analysis.experiments import trace_of
+        from repro.runtime import LIGHTWSP
         from repro.sim.engine import IO_OP_CYCLES, simulate
         from repro.config import SystemConfig
 
         compiled = compile_program(io_program())
-        events = trace_of(compiled)
+        events = trace_of(compiled.program)
         res = simulate(events, SystemConfig(), LIGHTWSP)
         assert res.cycles > 2 * IO_OP_CYCLES

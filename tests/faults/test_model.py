@@ -5,7 +5,6 @@ import pytest
 
 from repro.faults import (
     FaultEvent,
-    FaultTrace,
     image_hash,
     read_trace,
     schedule_from_json,
@@ -13,7 +12,7 @@ from repro.faults import (
     tear_value,
 )
 from repro.faults.oracle import SAMPLE_LIMIT, check_image, diff_images
-from repro.trace import iter_scenarios
+from repro.trace import JsonlTrace, iter_scenarios
 
 
 class TestFaultEvent:
@@ -148,7 +147,7 @@ class TestTrace:
         # the suite runs strict, so these emissions double as a check
         # that hand-built catalogue-conformant records pass validation
         path = str(tmp_path / "trace.jsonl")
-        with FaultTrace(path) as trace:
+        with JsonlTrace(path) as trace:
             trace.emit("campaign_start", **_campaign_start(seed=0))
             trace.emit("scenario_end", **_scenario_end(benchmark="bzip2"))
             trace.emit("campaign_end", scenarios=1, violations=0,
@@ -161,8 +160,8 @@ class TestTrace:
 
     def test_trace_is_append_only(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        with FaultTrace(path) as trace:
+        with JsonlTrace(path) as trace:
             trace.emit("campaign_start", **_campaign_start(seed=0))
-        with FaultTrace(path) as trace:
+        with JsonlTrace(path) as trace:
             trace.emit("campaign_start", **_campaign_start(seed=1))
         assert [r["seed"] for r in read_trace(path)] == [0, 1]

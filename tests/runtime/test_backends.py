@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines import ALL_SCHEMES
-from repro.core import lightwsp as core_lightwsp
+from repro import sim
+from repro.analysis import experiments
 from repro.faults.model import FAULT_CLASSES
 from repro.runtime import (
     BACKENDS,
@@ -45,19 +45,20 @@ def test_get_backend_resolution():
 
 
 def test_exactly_one_lrpo_policy_definition():
-    """core.lightwsp and the timing engine both consume the runtime
-    layer's definitions — no parallel copies survive the refactor."""
-    assert core_lightwsp.LIGHTWSP is LIGHTWSP
+    """The experiment drivers and the timing engine both consume the
+    runtime layer's definitions — no parallel copies survive."""
+    assert experiments.LIGHTWSP is LIGHTWSP
     assert sim_engine.SchemePolicy is SchemePolicy
     assert BACKENDS["lightwsp-lrpo"].policy is LIGHTWSP
 
 
-def test_baseline_shims_reexport_runtime_policies():
-    assert ALL_SCHEMES["cWSP"] is B.CWSP
-    assert ALL_SCHEMES["Capri"] is B.CAPRI
-    assert ALL_SCHEMES["PPA"] is B.PPA
-    assert ALL_SCHEMES["PSP-Ideal"] is B.PSP_IDEAL
-    assert ALL_SCHEMES["memory-mode"] is B.MEMORY_MODE
+def test_schemes_have_one_import_path():
+    """The sim plane no longer re-exports the policy type, and the
+    experiment drivers replay the registered policies themselves."""
+    assert "SchemePolicy" not in sim_engine.__all__
+    assert "SchemePolicy" not in sim.__all__
+    for name in ("CWSP", "CAPRI", "PPA", "PSP_IDEAL", "MEMORY_MODE"):
+        assert getattr(experiments, name) is getattr(B, name)
 
 
 def test_fault_classes_are_known_and_consistent():
@@ -83,14 +84,13 @@ def test_engine_accepts_backend_objects():
     """simulate()/TimingEngine unwrap a PersistBackend to its policy."""
     from repro.compiler import compile_program
     from repro.config import DEFAULT_CONFIG
-    from repro.core.lightwsp import trace_of
     from repro.sim.engine import simulate
     from repro.workloads import BENCHMARKS
 
     compiled = compile_program(
         BENCHMARKS["bzip2"].build(scale=0.01), DEFAULT_CONFIG.compiler
     )
-    events = trace_of(compiled)
+    events = experiments.trace_of(compiled.program)
     backend = BACKENDS["cwsp-eager"]
     via_backend = simulate(events, DEFAULT_CONFIG, backend)
     via_policy = simulate(events, DEFAULT_CONFIG, backend.policy)

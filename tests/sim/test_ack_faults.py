@@ -7,9 +7,10 @@ import pytest
 
 from helpers import saxpy_program
 
+from repro.analysis.experiments import trace_of
 from repro.compiler import compile_program
 from repro.config import SystemConfig
-from repro.core.lightwsp import LIGHTWSP, trace_of
+from repro.runtime import LIGHTWSP
 from repro.sim.engine import TimingEngine
 from repro.sim.mc import AckFaults
 
@@ -18,7 +19,7 @@ from repro.sim.mc import AckFaults
 def setup():
     config = SystemConfig()
     compiled = compile_program(saxpy_program(n=128), config.compiler)
-    return config, trace_of(compiled)
+    return config, trace_of(compiled.program)
 
 
 def run(config, trace, ack_faults=None):

@@ -5,11 +5,11 @@ import pytest
 
 from helpers import locking_program, saxpy_program
 
-from repro.baselines import CAPRI, MEMORY_MODE, PPA
+from repro.analysis.experiments import trace_of
 from repro.compiler import compile_program, run_single, run_threads
 from repro.config import SystemConfig
-from repro.core.lightwsp import LIGHTWSP, trace_of
 from repro.core.machine import PersistentMachine
+from repro.runtime import CAPRI, LIGHTWSP, MEMORY_MODE, PPA
 from repro.sim.engine import simulate
 
 
@@ -26,7 +26,7 @@ class TestEngineDeterminism:
     def test_deterministic_per_policy(self, policy):
         config = SystemConfig()
         compiled = compile_program(saxpy_program(n=256), config.compiler)
-        events = trace_of(compiled)
+        events = trace_of(compiled.program)
         runs = [simulate(events, config, policy) for _ in range(2)]
         assert runs[0].cycles == runs[1].cycles
         assert runs[0].fe_stall == runs[1].fe_stall

@@ -4,11 +4,19 @@ import pytest
 
 from helpers import locking_program, saxpy_program
 
-from repro.baselines import CAPRI, CWSP, MEMORY_MODE, PPA, PSP_IDEAL
+from repro.analysis.experiments import trace_of
 from repro.compiler import compile_program, run_single, run_threads
 from repro.config import SystemConfig, VictimPolicy
-from repro.core.lightwsp import LIGHTWSP, trace_of
-from repro.sim.engine import SchemePolicy, TimingEngine, simulate
+from repro.runtime import (
+    CAPRI,
+    CWSP,
+    LIGHTWSP,
+    MEMORY_MODE,
+    PPA,
+    PSP_IDEAL,
+    SchemePolicy,
+)
+from repro.sim.engine import TimingEngine, simulate
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +25,7 @@ def traces():
     prog = saxpy_program(n=512)
     base, _ = run_single(prog, max_steps=4_000_000)
     compiled = compile_program(prog, config.compiler)
-    lightwsp = trace_of(compiled)
+    lightwsp = trace_of(compiled.program)
     return {"config": config, "base": base, "lightwsp": lightwsp}
 
 
@@ -133,7 +141,7 @@ class TestSnoopingCounters:
         config = SystemConfig()
         prog = saxpy_program(n=2048)
         compiled = compile_program(prog, config.compiler)
-        events = trace_of(compiled)
+        events = trace_of(compiled.program)
         res = simulate(
             events, config, LIGHTWSP, cache_scale=(512, 64, 1024)
         )
@@ -143,6 +151,6 @@ class TestSnoopingCounters:
         config = SystemConfig().with_victim_policy(VictimPolicy.STALE_LOAD)
         prog = saxpy_program(n=2048)
         compiled = compile_program(prog, config.compiler)
-        events = trace_of(compiled)
+        events = trace_of(compiled.program)
         res = simulate(events, config, LIGHTWSP, cache_scale=(512, 64, 1024))
         assert res.stale_loads >= 0  # counter wired (value workload-dependent)

@@ -5,10 +5,10 @@ import pytest
 
 from helpers import saxpy_program
 
-from repro.baselines import MEMORY_MODE
+from repro.analysis.experiments import trace_of
 from repro.compiler import compile_program, run_single
 from repro.config import CXL_PRESETS, SystemConfig, VictimPolicy
-from repro.core.lightwsp import LIGHTWSP, trace_of
+from repro.runtime import LIGHTWSP, MEMORY_MODE
 from repro.sim.engine import simulate
 
 
@@ -18,7 +18,7 @@ def traces():
     prog = saxpy_program(n=6000)  # exceeds the scaled L2: PM-visible
     base, _ = run_single(prog, max_steps=4_000_000)
     compiled = compile_program(prog, config.compiler)
-    return {"config": config, "base": base, "lw": trace_of(compiled)}
+    return {"config": config, "base": base, "lw": trace_of(compiled.program)}
 
 
 class TestCXLBackends:

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 
 from repro.config import SystemConfig, VictimPolicy
-from repro.core.lightwsp import LIGHTWSP
-from repro.sim.engine import SchemePolicy, simulate
+from repro.runtime import LIGHTWSP, SchemePolicy
+from repro.sim.engine import simulate
 from repro.trace import EK, TraceEvent
 
 

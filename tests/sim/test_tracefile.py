@@ -48,7 +48,7 @@ class TestRoundTrip:
     def test_loaded_trace_simulates_identically(self):
         from helpers import saxpy_program
         from repro.compiler import run_single
-        from repro.baselines import MEMORY_MODE
+        from repro.runtime import MEMORY_MODE
         from repro.config import SystemConfig
         from repro.sim.engine import simulate
 

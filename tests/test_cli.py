@@ -32,8 +32,24 @@ class TestCLI:
     def test_run_unknown_benchmark(self, capsys):
         assert main(["run", "nope"]) == 2
 
-    def test_run_unknown_scheme(self, capsys):
-        assert main(["run", "namd", "--scheme", "nope"]) == 2
+    def test_run_unknown_backend(self, capsys):
+        assert main(["run", "namd", "--backend", "nope"]) == 2
+        assert "unknown backend 'nope'" in capsys.readouterr().out
+
+    def test_run_accepts_legacy_scheme_name(self, capsys):
+        assert main(["run", "namd", "--backend", "capri", "--scale",
+                     "0.02"]) == 0
+        first = capsys.readouterr().out
+        assert main(["run", "namd", "--backend", "Capri", "--scale",
+                     "0.02"]) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith("namd under capri:")
+
+    def test_list_shows_legacy_aliases(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "lightwsp-lrpo (LightWSP)" in out
+        assert "schemes:" not in out
 
     def test_figure(self, capsys):
         assert main(
@@ -44,6 +60,19 @@ class TestCLI:
 
     def test_figure_unknown(self, capsys):
         assert main(["figure", "fig99"]) == 2
+
+    def test_figure_unknown_benchmark(self, capsys):
+        assert main(["figure", "fig7", "--benchmarks", "nope"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "unknown benchmarks: nope" in out
+
+    def test_compile_missing_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.lir")
+        assert main(["compile", missing]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "cannot read %s" % missing in out
 
     def test_compile_lir(self, capsys):
         assert main(["compile", "examples/counter.lir", "--threshold", "8"]) == 0
@@ -60,6 +89,10 @@ class TestCLI:
 
     def test_crash_sweep_unknown(self, capsys):
         assert main(["crash-sweep", "nope"]) == 2
+
+    def test_crash_sweep_unknown_backend(self, capsys):
+        assert main(["crash-sweep", "bzip2", "--backend", "nope"]) == 2
+        assert "unknown backend 'nope'" in capsys.readouterr().out
 
 
 class TestServeCLI:
@@ -78,6 +111,10 @@ class TestServeCLI:
 
     def test_serve_unknown_workload(self, capsys):
         assert main(["serve", "--workload", "nope"]) == 2
+
+    def test_serve_unknown_backend(self, capsys):
+        assert main(["serve", "--smoke", "--backend", "nope"]) == 2
+        assert "unknown backend 'nope'" in capsys.readouterr().out
 
     def test_serve_crash_options(self, capsys):
         assert main([
@@ -143,6 +180,13 @@ class TestVerifyCLI:
     def test_verify_unknown_target(self, capsys):
         assert main(["verify", "nope"]) == 2
 
+    def test_verify_missing_lir(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.lir")
+        assert main(["verify", missing]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "cannot read %s" % missing in out
+
     def test_verify_self_test(self, capsys):
         assert main(["verify", "--self-test"]) == 0
         out = capsys.readouterr().out
@@ -168,6 +212,23 @@ class TestVerifyCLI:
         assert main(["run", "namd", "--scale", "0.02", "--verify"]) == 0
         out = capsys.readouterr().out
         assert "slowdown" in out
+
+    def test_failed_verification_refuses(self, capsys, monkeypatch):
+        from repro import __main__ as cli
+        from repro.verify import VerificationError, verify_compiled
+        from repro.workloads import BENCHMARKS
+
+        report = verify_compiled(cli.compile_program(
+            BENCHMARKS["namd"].build(scale=0.02), verify=False
+        ))
+
+        def refuse(*args, **kwargs):
+            raise VerificationError(report)
+
+        monkeypatch.setattr(cli, "compile_program", refuse)
+        assert main(["run", "namd", "--scale", "0.02", "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "static verification FAILED, refusing `repro run`" in out
 
     def test_serve_smoke_with_verify_gate(self, capsys):
         assert main(["serve", "--smoke", "--seed", "7", "--verify"]) == 0

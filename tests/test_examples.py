@@ -1,8 +1,11 @@
 """Smoke tests for the example programs' building blocks (the full
 example mains run minutes of crash sweeps; CI checks their kernels)."""
 
+import glob
 import importlib.util
 import os
+
+import pytest
 
 
 EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples")
@@ -14,6 +17,16 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(path)[:-3]
+    for path in glob.glob(os.path.join(EXAMPLES, "*.py"))
+))
+def test_example_imports(name):
+    """Every example imports against the current API (its guarded
+    ``main()`` does not run)."""
+    assert callable(load(name).main)
 
 
 class TestExampleKernels:

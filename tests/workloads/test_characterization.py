@@ -5,7 +5,7 @@ figures depend on."""
 import pytest
 
 from repro.analysis import ExperimentContext
-from repro.baselines import MEMORY_MODE, PSP_IDEAL
+from repro.runtime import MEMORY_MODE, PSP_IDEAL
 from repro.trace import EK, count_events
 from repro.workloads import BENCHMARKS
 
