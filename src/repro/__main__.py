@@ -53,6 +53,7 @@ from .analysis import (
     vg4_hw_cost,
 )
 from .analysis import experiments as E
+from .cluster.chaos import KILLS, MSG_FAULTS, PARTITIONS, TRANSPORT
 from .compiler import compile_program
 from .compiler.textir import parse_program, print_program
 from .config import DEFAULT_CONFIG
@@ -516,7 +517,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         FAULT_CLASSES,
         NESTED_POINTS,
         STORE_CAMPAIGN_BENCHMARKS,
-        replay_trace,
+        replay_campaign,
         run_campaign,
     )
 
@@ -529,42 +530,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
         return 0
 
     if args.faults_command == "replay":
-        from .trace import read_trace
-
         try:
-            records = read_trace(args.trace)
+            report = replay_campaign(
+                args.trace, progress=print, jobs=args.jobs
+            )
         except (OSError, ValueError) as exc:
-            print(exc.args[0] if exc.args else str(exc))
-            return 2
-        if any(
-            r.get("type") == "cluster_campaign_start" for r in records
-        ):
-            from .cluster import replay_cluster_trace
-
-            try:
-                mismatches = replay_cluster_trace(
-                    records, progress=print, jobs=args.jobs
-                )
-            except ValueError as exc:
-                print(exc.args[0] if exc.args else str(exc))
-                return 2
-            print("replayed cluster trace: %d mismatch(es)"
-                  % len(mismatches))
-            for mm in mismatches[:10]:
-                print("  MISMATCH %s" % mm)
-            return 1 if mismatches else 0
-        try:
-            report = replay_trace(args.trace, progress=print,
-                                  jobs=args.jobs)
-        except ValueError as exc:
-            print(exc.args[0] if exc.args else str(exc))
+            print(exc)
             return 2
         print("replayed %d scenarios, %d mismatch(es)"
               % (report["checked"], len(report["mismatches"])))
         for mm in report["mismatches"][:10]:
-            print("  MISMATCH %s/%s: want %s got %s"
-                  % (mm["benchmark"], mm["fault_class"],
-                     mm["want_hash"], mm["got_hash"]))
+            print("  MISMATCH %s" % mm)
         return 1 if report["mismatches"] else 0
 
     # campaign
@@ -588,9 +564,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 replicate=args.replicate,
                 ship_lag=args.lag,
                 reshard_at=args.reshard_at,
-                follower_kills=(
-                    args.follower_kills if args.replicate else 0
-                ),
+                follower_kills=args.follower_kills,
                 progress=print,
             )
         except (KeyError, ValueError) as exc:
@@ -846,18 +820,62 @@ def main(argv=None) -> int:
         help="statically verify every compiled program first and refuse "
              "to go on if any fails",
     )
+    backend_opt = argparse.ArgumentParser(add_help=False)
+    backend_opt.add_argument(
+        "--backend", default=None,
+        help="persist backend, or its legacy scheme name (see `list`); "
+             "commands that cut power need a crash-consistent one",
+    )
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    seed_opt.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of everything the run generates: workload, chaos, "
+             "fault schedules (verify: the --differential schedules)",
+    )
+    trace_opt = argparse.ArgumentParser(add_help=False)
+    trace_opt.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="record the run as a trace.v1 JSONL artifact, which "
+             "`repro trace` renders (faults campaign always records, by "
+             "default to faults-campaign-seed<N>.jsonl, or "
+             "cluster-chaos-/cluster-failover-seed<N>.jsonl)",
+    )
+
+    def replication_opts(reshard_at: int) -> argparse.ArgumentParser:
+        """The replicated-cluster options, one parser per --reshard-at
+        default: set_defaults on a child parser would rewrite a shared
+        parent's action, and with it every other command's default."""
+        opts = argparse.ArgumentParser(add_help=False)
+        opts.add_argument(
+            "--replicate", action="store_true",
+            help="(cluster) per-range primary+follower replication: log "
+                 "shipping, promote-on-DEAD failover behind a fencing "
+                 "token",
+        )
+        opts.add_argument(
+            "--lag", type=int, default=1,
+            help="bounded log-shipping lag window (with --replicate)",
+        )
+        opts.add_argument(
+            "--follower-kills", type=int, default=0,
+            help="follower power-cuts in the chaos schedule "
+                 "(with --replicate)",
+        )
+        opts.add_argument(
+            "--reshard-at", type=int, default=reshard_at,
+            help="(cluster) epoch a new shard joins and its arcs migrate "
+                 "live (-1: no reshard)",
+        )
+        return opts
 
     sub.add_parser("info", help="configuration + cost tables")
     sub.add_parser("list", help="benchmarks, backends, figures")
 
     p_run = sub.add_parser(
-        "run", parents=[verify_opt], help="simulate one benchmark"
+        "run", parents=[verify_opt, backend_opt],
+        help="simulate one benchmark",
     )
     p_run.add_argument("benchmark")
-    p_run.add_argument(
-        "--backend", default=None,
-        help="persist backend, or its legacy scheme name (see `list`)",
-    )
     p_run.add_argument("--scale", type=float, default=0.1)
 
     p_fig = sub.add_parser("figure", help="regenerate one figure")
@@ -866,7 +884,7 @@ def main(argv=None) -> int:
     p_fig.add_argument("--benchmarks", nargs="*", default=None)
 
     p_serve = sub.add_parser(
-        "serve", parents=[verify_opt],
+        "serve", parents=[verify_opt, backend_opt, seed_opt, trace_opt],
         help="serve a KV workload on the persistent store",
     )
     p_serve.add_argument(
@@ -875,7 +893,6 @@ def main(argv=None) -> int:
     )
     p_serve.add_argument("--ops", type=int, default=2000)
     p_serve.add_argument("--shards", type=int, default=2)
-    p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--keys", type=int, default=128)
     p_serve.add_argument("--value-words", type=int, default=4)
     p_serve.add_argument("--batch", type=int, default=64)
@@ -899,23 +916,13 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="small fixed-cost run with a crash (CI smoke test)",
     )
-    p_serve.add_argument(
-        "--backend", default=None,
-        help="persist backend the shards run on (crash epochs require "
-             "a crash-consistent backend; see `list`)",
-    )
-    p_serve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record the run as a trace.v1 JSONL artifact "
-             "(`repro trace timeline/tail` can render it)",
-    )
 
     p_compile = sub.add_parser("compile", help="compile a .lir file")
     p_compile.add_argument("file")
     p_compile.add_argument("--threshold", type=int, default=32)
 
     p_verify = sub.add_parser(
-        "verify",
+        "verify", parents=[seed_opt],
         help="statically verify compiled programs (5 recoverability rules)",
     )
     p_verify.add_argument(
@@ -969,10 +976,6 @@ def main(argv=None) -> int:
              "placement-bench JSON artifact",
     )
     p_verify.add_argument(
-        "--seed", type=int, default=0,
-        help="schedule seed for --differential",
-    )
-    p_verify.add_argument(
         "--json", default=None, metavar="PATH",
         help="write all diagnostics to a JSON file",
     )
@@ -1001,7 +1004,7 @@ def main(argv=None) -> int:
     )
 
     p_bench = sub.add_parser(
-        "bench", parents=[jobs_opt],
+        "bench", parents=[jobs_opt, seed_opt, trace_opt],
         help="run the curated perf suite, emit BENCH_*.json, and "
              "optionally gate against a baseline",
     )
@@ -1014,7 +1017,6 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="CI-sized run over the smoke subset",
     )
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--scale", type=float, default=0.25)
     p_bench.add_argument(
         "--out", default="BENCH_pr9.json", metavar="PATH",
@@ -1030,17 +1032,14 @@ def main(argv=None) -> int:
         help="regression threshold as a fraction (default 0.10)",
     )
     p_bench.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="also record the run as a trace.v1 JSONL artifact",
-    )
-    p_bench.add_argument(
         "--profile", default=None, metavar="PATH",
         help="cProfile the run: write a pstats dump at PATH and a "
              "PATH.json hot-function summary (forces --jobs 1)",
     )
 
     p_sweep = sub.add_parser(
-        "crash-sweep", parents=[jobs_opt], help="crash-test a benchmark"
+        "crash-sweep", parents=[jobs_opt, backend_opt],
+        help="crash-test a benchmark",
     )
     p_sweep.add_argument("benchmark")
     p_sweep.add_argument("--scale", type=float, default=0.02)
@@ -1052,20 +1051,17 @@ def main(argv=None) -> int:
         "--max-points", type=int, default=None,
         help="cap the probe count by even subsampling",
     )
-    p_sweep.add_argument(
-        "--backend", default=None,
-        help="persist backend to sweep (see `list`)",
-    )
 
     p_faults = sub.add_parser(
         "faults", help="adversarial fault-injection campaigns"
     )
     fsub = p_faults.add_subparsers(dest="faults_command", required=True)
     p_camp = fsub.add_parser(
-        "campaign", parents=[jobs_opt, verify_opt],
+        "campaign",
+        parents=[jobs_opt, verify_opt, backend_opt, seed_opt, trace_opt,
+                 replication_opts(-1)],
         help="seeded fault-schedule sweep + defense-off self-validation",
     )
-    p_camp.add_argument("--seed", type=int, default=0)
     p_camp.add_argument("--scale", type=float, default=0.01)
     p_camp.add_argument("--benchmarks", nargs="*", default=None)
     p_camp.add_argument(
@@ -1075,36 +1071,8 @@ def main(argv=None) -> int:
              "campaign (kills + partitions + message faults)",
     )
     p_camp.add_argument(
-        "--trace", default=None,
-        help="JSONL trace path (default: faults-campaign-seed<N>.jsonl)",
-    )
-    p_camp.add_argument(
         "--no-validate", action="store_true",
         help="skip the defense-off self-validation pass",
-    )
-    p_camp.add_argument(
-        "--backend", default=None,
-        help="persist backend under attack (must be crash-consistent; "
-             "see `list`)",
-    )
-    p_camp.add_argument(
-        "--replicate", action="store_true",
-        help="(--workload cluster) per-range replication with "
-             "promote-on-DEAD failover",
-    )
-    p_camp.add_argument(
-        "--lag", type=int, default=1,
-        help="(--workload cluster) bounded log-shipping lag window",
-    )
-    p_camp.add_argument(
-        "--reshard-at", type=int, default=-1,
-        help="(--workload cluster) epoch a new shard joins and its "
-             "arcs migrate live (-1: no reshard)",
-    )
-    p_camp.add_argument(
-        "--follower-kills", type=int, default=0,
-        help="(--workload cluster) follower power-cuts per scenario "
-             "(needs --replicate)",
     )
     p_replay = fsub.add_parser(
         "replay", parents=[jobs_opt],
@@ -1122,76 +1090,49 @@ def main(argv=None) -> int:
         p.add_argument("--shards", type=int, default=3)
         p.add_argument("--keyspace", type=int, default=16)
         p.add_argument("--ops", type=int, default=36)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--backend", default=None,
-            help="persist backend per shard (must be crash-consistent; "
-                 "see `list`)",
-        )
         p.add_argument("--mix", default="crud",
                        choices=("crud", "ycsb-a", "ycsb-b", "ycsb-c",
                                 "ycsb-e"))
         p.add_argument(
-            "--kills", type=int, default=2,
+            "--kills", type=int, default=KILLS,
             help="shard power-cuts in the generated chaos schedule",
         )
-        p.add_argument("--transport", type=int, default=5,
+        p.add_argument("--transport", type=int, default=TRANSPORT,
                        help="message-layer faults (drop/dup/delay)")
-        p.add_argument("--partitions", type=int, default=1)
-        p.add_argument("--msg-faults", type=int, default=2,
+        p.add_argument("--partitions", type=int, default=PARTITIONS)
+        p.add_argument("--msg-faults", type=int, default=MSG_FAULTS,
                        help="machine-level message-path faults")
         p.add_argument("--horizon", type=int, default=24,
                        help="last epoch chaos may land on")
-        p.add_argument(
-            "--replicate", action="store_true",
-            help="per-range primary+follower replication: log shipping, "
-                 "promote-on-DEAD failover behind a fencing token",
-        )
-        p.add_argument(
-            "--lag", type=int, default=1,
-            help="bounded log-shipping lag window (with --replicate)",
-        )
-        p.add_argument(
-            "--follower-kills", type=int, default=0,
-            help="follower power-cuts in the chaos schedule "
-                 "(with --replicate)",
-        )
-        p.add_argument(
-            "--reshard-at", type=int, default=-1,
-            help="epoch a new shard joins and its arcs migrate live "
-                 "(-1: no reshard)",
-        )
 
     # serve and reshard run one session: shared session options
-    session_opts = argparse.ArgumentParser(add_help=False,
-                                           parents=[jobs_opt])
+    session_opts = argparse.ArgumentParser(
+        add_help=False, parents=[jobs_opt, seed_opt, backend_opt, trace_opt]
+    )
     session_opts.add_argument("--txn-every", type=int, default=6,
                               help="every Nth mixed-phase PUT becomes a "
                                    "cross-shard transaction")
-    session_opts.add_argument("--trace", default=None,
-                              help="JSONL session trace path")
     session_opts.add_argument("--no-chaos", action="store_true",
                               help="fault-free run (sanity baseline)")
     session_opts.add_argument("--smoke", action="store_true",
                               help="small fixed shape for CI smoke tests")
 
     p_cserve = csub.add_parser(
-        "serve", parents=[session_opts],
+        "serve", parents=[session_opts, replication_opts(-1)],
         help="run one chaos session: routed ops, kills, recovery, "
              "typed degradation, oracle check",
     )
     _cluster_common(p_cserve)
 
     p_creshard = csub.add_parser(
-        "reshard", parents=[session_opts],
+        "reshard", parents=[session_opts, replication_opts(3)],
         help="live resharding: a new shard joins mid-run and its key "
              "arcs migrate while clients keep being served",
     )
     _cluster_common(p_creshard)
-    p_creshard.set_defaults(reshard_at=3)
 
     p_cbench = csub.add_parser(
-        "bench",
+        "bench", parents=[seed_opt, backend_opt, replication_opts(-1)],
         help="--jobs parity check + wall time for one chaos session",
     )
     _cluster_common(p_cbench)

@@ -39,7 +39,7 @@ Layers:
 * :mod:`repro.cluster.supervisor`  — the crash/recovery state machine
 * :mod:`repro.cluster.coordinator` — routing, retries, 2PC, the epoch loop
 * :mod:`repro.cluster.oracle`      — zero acked-write loss + atomicity
-* :mod:`repro.cluster.chaos`       — fault vocabulary, campaign, replay
+* :mod:`repro.cluster.chaos`       — fault vocabulary, the chaos campaign plane
 """
 
 from .chaos import (
@@ -50,7 +50,6 @@ from .chaos import (
     chaos_from_json,
     chaos_to_json,
     generate_cluster_chaos,
-    replay_cluster_trace,
     run_cluster_campaign,
 )
 from .coordinator import Applied, ClusterSession
@@ -82,7 +81,6 @@ __all__ = [
     "chaos_from_json",
     "chaos_to_json",
     "generate_cluster_chaos",
-    "replay_cluster_trace",
     "run_cluster_campaign",
     "Applied",
     "ClusterSession",

@@ -32,21 +32,27 @@ bit-for-bit, and shrinks with the generic delta-debugging minimizer
 
 :func:`run_cluster_campaign` is the entry point behind
 ``repro faults campaign --workload cluster``: a seeded sweep of chaos
-scenarios over every *recovering* backend, fanned out over worker
-processes, asserting zero acked-write loss and transaction atomicity for
-each, and shrinking any failure to a minimal fault schedule.
+scenarios over every *recovering* backend, run through the campaign
+kernel (:mod:`repro.faults.kernel`), asserting zero acked-write loss and
+transaction atomicity for each, and shrinking any failure to a minimal
+fault schedule.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
+from ..faults.kernel import Campaign, Plane
 from ..faults.model import MSG_OPS
-from ..parallel import fan_out
+from ..faults.shrink import shrink_schedule
 from ..runtime.backend import get_backend, require_recovering
-from ..trace import JsonlTrace, NullTrace
+
+if TYPE_CHECKING:
+    from .coordinator import ClusterSession
 
 __all__ = [
     "CLUSTER_FAULT_KINDS",
@@ -57,7 +63,6 @@ __all__ = [
     "ClusterScenario",
     "ClusterCampaignReport",
     "run_cluster_campaign",
-    "replay_cluster_trace",
 ]
 
 CLUSTER_FAULT_KINDS: Tuple[str, ...] = (
@@ -70,6 +75,18 @@ CLUSTER_FAULT_KINDS: Tuple[str, ...] = (
     "partition",
     "msg",
 )
+
+#: the chaos every generated schedule carries by default (the campaign
+#: and the `repro cluster` commands): primary power cuts, request/ack
+#: transport faults, coordinator-side partitions, machine-level
+#: broadcast faults
+KILLS = 2
+TRANSPORT = 5
+PARTITIONS = 1
+MSG_FAULTS = 2
+#: the campaign's client mix, and its shrinker's budget per failure
+MIX = "crud"
+SHRINK_BUDGET = 40
 
 
 @dataclass(frozen=True)
@@ -132,10 +149,10 @@ def generate_cluster_chaos(
     seed: int,
     n_shards: int,
     horizon: int,
-    kills: int = 2,
-    transport: int = 6,
-    partitions: int = 1,
-    msg_faults: int = 2,
+    kills: int = KILLS,
+    transport: int = TRANSPORT,
+    partitions: int = PARTITIONS,
+    msg_faults: int = MSG_FAULTS,
     n_mcs: int = 4,
     reshard_at: int = -1,
     follower_kills: int = 0,
@@ -223,6 +240,26 @@ class ClusterScenario:
     def ok(self) -> bool:
         return not self.violations
 
+    def to_record(self) -> Dict:
+        """The scenario's ``cluster_scenario`` trace record."""
+        record = {
+            "backend": self.backend, "seed": self.seed,
+            "chaos": chaos_to_json(self.chaos),
+            "violations": self.violations,
+            "digest": self.digest,
+            "epochs": self.epochs,
+            "responses": self.responses,
+            "unavailable_shards": self.unavailable_shards,
+        }
+        if self.promotions:
+            record["promotions"] = self.promotions
+        if self.resharded:
+            record["resharded"] = True
+        if self.shrunk is not None:
+            record["shrunk"] = chaos_to_json(self.shrunk)
+            record["shrink_evals"] = self.shrink_evals
+        return record
+
 
 @dataclass
 class ClusterCampaignReport:
@@ -240,48 +277,53 @@ class ClusterCampaignReport:
         return not self.failures
 
 
-def _scenario_unit(unit: Tuple[str, int], params: Dict) -> ClusterScenario:
-    """Run one (backend, seed) chaos scenario — a pool worker body."""
+def _run_session(
+    start: Dict, backend: str, seed: int, chaos: Sequence[ClusterFault]
+) -> "ClusterSession":
+    """Run one chaos session, built from the campaign's start record
+    plus the scenario's backend, seed and schedule.  Running it checks
+    the cluster oracle: the verdict is ``session.violations``."""
     from .coordinator import ClusterSession
 
+    session = ClusterSession.build(
+        n_shards=start["n_shards"],
+        keyspace=start["keyspace"],
+        ops=start["ops"],
+        seed=seed,
+        backend=backend,
+        mix=start["mix"],
+        chaos=list(chaos),
+        replicate=start.get("replicate", False),
+        ship_lag=start.get("ship_lag", 1),
+        reshard_at=start.get("reshard_at", -1),
+    )
+    session.run()
+    return session
+
+
+def _scenario_unit(
+    start: Dict, unit: Tuple[str, int]
+) -> Tuple[List[Dict], ClusterScenario]:
+    """Run one (backend, seed) chaos scenario, shrinking its schedule if
+    the oracle fails — a pool worker body."""
     backend, seed = unit
     chaos = generate_cluster_chaos(
-        seed, params["n_shards"], params["horizon"],
-        kills=params["kills"], transport=params["transport"],
-        partitions=params["partitions"], msg_faults=params["msg_faults"],
-        reshard_at=params["reshard_at"],
-        follower_kills=(
-            params["follower_kills"] if params["replicate"] else 0
-        ),
+        seed, start["n_shards"], start["horizon"],
+        kills=start["kills"], transport=start["transport"],
+        partitions=start["partitions"], msg_faults=start["msg_faults"],
+        reshard_at=start.get("reshard_at", -1),
+        follower_kills=start.get("follower_kills", 0),
     )
-
-    def run_once(schedule: Sequence[ClusterFault]) -> "ClusterSession":
-        session = ClusterSession.build(
-            n_shards=params["n_shards"],
-            keyspace=params["keyspace"],
-            ops=params["ops"],
-            seed=seed,
-            backend=backend,
-            mix=params["mix"],
-            chaos=list(schedule),
-            replicate=params["replicate"],
-            ship_lag=params["ship_lag"],
-            reshard_at=params["reshard_at"],
-        )
-        session.run()
-        return session
-
-    session = run_once(chaos)
+    session = _run_session(start, backend, seed, chaos)
     shrunk = None
     evals = 0
     if session.violations and chaos:
-        from ..faults.shrink import shrink_schedule
-
-        def still_fails(schedule: Sequence[ClusterFault]) -> bool:
-            return bool(run_once(schedule).violations)
-
         shrunk, evals = shrink_schedule(
-            list(chaos), still_fails, budget=params["shrink_budget"]
+            list(chaos),
+            lambda schedule: bool(
+                _run_session(start, backend, seed, schedule).violations
+            ),
+            budget=SHRINK_BUDGET,
         )
     counts: Dict[str, int] = {}
     for resp in session.responses.values():
@@ -289,7 +331,7 @@ def _scenario_unit(unit: Tuple[str, int], params: Dict) -> ClusterScenario:
     resharded = bool(
         session._mig is not None and session._mig["state"] == "done"
     )
-    return ClusterScenario(
+    scenario = ClusterScenario(
         backend=backend,
         seed=seed,
         chaos=chaos,
@@ -306,6 +348,7 @@ def _scenario_unit(unit: Tuple[str, int], params: Dict) -> ClusterScenario:
         promotions=session.counters.get("promotions", 0),
         resharded=resharded,
     )
+    return [scenario.to_record()], scenario
 
 
 def run_cluster_campaign(
@@ -314,15 +357,9 @@ def run_cluster_campaign(
     n_shards: int = 3,
     keyspace: int = 16,
     ops: int = 36,
-    mix: str = "crud",
     jobs: int = 1,
     trace_path: Optional[str] = None,
-    kills: int = 2,
-    transport: int = 5,
-    partitions: int = 1,
-    msg_faults: int = 2,
     horizon: int = 24,
-    shrink_budget: int = 40,
     replicate: bool = False,
     ship_lag: int = 1,
     reshard_at: int = -1,
@@ -338,135 +375,70 @@ def run_cluster_campaign(
     say = progress or (lambda msg: None)
     for name in backends:
         require_recovering(get_backend(name), "the cluster chaos campaign")
-    params = {
-        "n_shards": n_shards, "keyspace": keyspace, "ops": ops, "mix": mix,
-        "kills": kills, "transport": transport, "partitions": partitions,
-        "msg_faults": msg_faults, "horizon": horizon,
-        "shrink_budget": shrink_budget, "replicate": replicate,
-        "ship_lag": ship_lag, "reshard_at": reshard_at,
-        "follower_kills": follower_kills,
+    start: Dict = {
+        "backends": list(backends), "seeds": list(seeds),
+        "n_shards": n_shards, "keyspace": keyspace, "ops": ops,
+        "mix": MIX, "kills": KILLS, "transport": TRANSPORT,
+        "partitions": PARTITIONS, "msg_faults": MSG_FAULTS,
+        "horizon": horizon,
+        "sharding": "unit order is (backend-major, seed-minor); results "
+                    "are merged by unit index, so jobs never changes "
+                    "this trace",
     }
+    if replicate:
+        start.update(
+            replicate=True, ship_lag=ship_lag, follower_kills=follower_kills
+        )
+    if reshard_at >= 0:
+        start["reshard_at"] = reshard_at
     units = [(b, s) for b in backends for s in seeds]
     say("cluster campaign: %d scenarios (%d backends x %d seeds), jobs=%d"
         % (len(units), len(backends), len(seeds), jobs))
-    scenarios = fan_out(
-        lambda unit: _scenario_unit(unit, params),
-        units, jobs=jobs, label="cluster-chaos",
-    )
-    trace = JsonlTrace(trace_path) if trace_path else NullTrace()
-    extras: Dict = {}
-    if replicate:
-        extras["replicate"] = True
-        extras["ship_lag"] = ship_lag
-        extras["follower_kills"] = follower_kills
-    if reshard_at >= 0:
-        extras["reshard_at"] = reshard_at
-    trace.emit(
-        "cluster_campaign_start",
-        backends=list(backends), seeds=list(seeds), n_shards=n_shards,
-        keyspace=keyspace, ops=ops, mix=mix, kills=kills,
-        transport=transport, partitions=partitions, msg_faults=msg_faults,
-        horizon=horizon,
-        sharding="unit order is (backend-major, seed-minor); results are "
-                 "merged by unit index, so jobs never changes this trace",
-        **extras,
-    )
-    for scenario in scenarios:
-        record = {
-            "backend": scenario.backend, "seed": scenario.seed,
-            "chaos": chaos_to_json(scenario.chaos),
-            "violations": scenario.violations,
-            "digest": scenario.digest,
-            "epochs": scenario.epochs,
-            "responses": scenario.responses,
-            "unavailable_shards": scenario.unavailable_shards,
-        }
-        if scenario.promotions:
-            record["promotions"] = scenario.promotions
-        if scenario.resharded:
-            record["resharded"] = True
-        if scenario.shrunk is not None:
-            record["shrunk"] = chaos_to_json(scenario.shrunk)
-            record["shrink_evals"] = scenario.shrink_evals
-        trace.emit("cluster_scenario", **record)
-        say("  %-14s seed=%-3d %s (%d epochs, %s)"
-            % (scenario.backend, scenario.seed,
-               "ok" if scenario.ok else "VIOLATION",
-               scenario.epochs,
-               ", ".join("%s=%d" % kv
-                         for kv in sorted(scenario.responses.items()))))
-    failures = [s for s in scenarios if not s.ok]
-    trace.emit(
-        "cluster_campaign_end",
-        scenarios=len(scenarios), failures=len(failures),
-    )
-    trace.close()
-    return ClusterCampaignReport(
-        scenarios=scenarios, trace_path=trace_path
-    )
-
-
-def replay_cluster_trace(
-    records: List[Dict],
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-) -> List[str]:
-    """Re-run every ``cluster_scenario`` in a campaign trace and verify
-    its outcome (digest + violations) reproduces exactly.  Returns the
-    mismatches (empty = faithful replay).  Scenarios are independent,
-    so ``jobs > 1`` fans them out over worker processes; the mismatches
-    come back in recorded order at any ``jobs``."""
-    from .coordinator import ClusterSession
-    from ..obs.schema import ensure_supported_version
-
-    say = progress or (lambda msg: None)
-    ensure_supported_version(records, "cluster trace")
-    start = next(
-        (r for r in records if r.get("type") == "cluster_campaign_start"),
-        None,
-    )
-    if start is None:
-        return ["trace has no cluster_campaign_start record"]
-    scenarios = [r for r in records if r.get("type") == "cluster_scenario"]
-    if not scenarios:
-        return ["trace has no cluster_scenario records"]
-
-    def replay_one(record: Dict) -> List[str]:
-        session = ClusterSession.build(
-            n_shards=start["n_shards"],
-            keyspace=start["keyspace"],
-            ops=start["ops"],
-            seed=record["seed"],
-            backend=record["backend"],
-            mix=start["mix"],
-            chaos=chaos_from_json(record["chaos"]),
-            replicate=start.get("replicate", False),
-            ship_lag=start.get("ship_lag", 1),
-            reshard_at=start.get("reshard_at", -1),
+    with Campaign(PLANE, start, trace_path) as campaign:
+        results = campaign.sweep(
+            lambda unit: _scenario_unit(start, unit), units, jobs=jobs
         )
-        session.run()
-        label = "%s seed=%d" % (record["backend"], record["seed"])
-        found: List[str] = []
-        if session.digest() != record["digest"]:
-            found.append(
-                "%s: digest %s, trace recorded %s"
-                % (label, session.digest(), record["digest"])
-            )
-        if list(session.violations) != list(record["violations"]):
-            found.append(
-                "%s: violations %r, trace recorded %r"
-                % (label, session.violations, record["violations"])
-            )
-        return found
+        scenarios = [scenario for _, scenario in results]
+        for scenario in scenarios:
+            say("  %-14s seed=%-3d %s (%d epochs, %s)"
+                % (scenario.backend, scenario.seed,
+                   "ok" if scenario.ok else "VIOLATION",
+                   scenario.epochs,
+                   ", ".join("%s=%d" % kv
+                             for kv in sorted(scenario.responses.items()))))
+        report = ClusterCampaignReport(
+            scenarios=scenarios, trace_path=trace_path
+        )
+        campaign.end(
+            scenarios=len(scenarios), failures=len(report.failures)
+        )
+    return report
 
-    outcomes = fan_out(
-        replay_one, scenarios, jobs=jobs, label="cluster-replay"
-    )
-    mismatches: List[str] = []
-    for record, found in zip(scenarios, outcomes):
-        say("  replayed %s seed=%d: %s" % (
-            record["backend"], record["seed"],
-            "MISMATCH" if found else "ok",
-        ))
-        mismatches.extend(found)
-    return mismatches
+
+def _replayer(start: Dict, path: str) -> Callable[[Dict], Dict]:
+    """Replay for a cluster campaign trace: each scenario record's
+    session, rebuilt from the start record plus the record itself, must
+    reproduce the recorded digest and oracle verdict."""
+
+    def rerun(record: Dict) -> Dict:
+        session = _run_session(
+            start, record["backend"], record["seed"],
+            chaos_from_json(record["chaos"]),
+        )
+        return {
+            "digest": session.digest(),
+            "violations": list(session.violations),
+        }
+
+    return rerun
+
+
+PLANE = Plane(
+    start="cluster_campaign_start",
+    scenario="cluster_scenario",
+    end="cluster_campaign_end",
+    label="cluster-chaos",
+    replay_label="cluster-replay",
+    replayer=_replayer,
+    name_of=lambda record: "%s seed=%d" % (record["backend"], record["seed"]),
+)

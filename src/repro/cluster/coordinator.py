@@ -88,7 +88,7 @@ from ..runtime.backend import get_backend, require_recovering
 from ..store.layout import OP_DELETE, OP_GET, OP_PUT, OP_SCAN
 from ..store.oracle import StoreModel
 from ..store.programs import Request, build_store_program
-from ..trace import NullTrace
+from ..trace import NullTrace, mix_int
 from .chaos import ClusterFault
 from .protocol import (
     ABORTED,
@@ -104,7 +104,7 @@ from .shard import EpochResult, RangeState, ShardState, execute_shard_epoch
 from .supervisor import Supervisor
 from .workload import LogicalOp, generate_cluster_ops
 
-__all__ = ["ClusterSession", "Applied", "mix_int"]
+__all__ = ["ClusterSession", "Applied"]
 
 #: the session's fixed shape: words per stored value, requests per shard
 #: epoch, and virtual nodes per shard on the hash ring
@@ -114,14 +114,6 @@ VNODES = 16
 #: moved keys per migration copy: each may bring its shadow, so a chunk
 #: fills at most one batch
 COPY_CHUNK = MAX_BATCH // 2
-
-
-def mix_int(*parts: object) -> int:
-    """Seeded, PYTHONHASHSEED-independent integer stream."""
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(
-        hashlib.sha256(text.encode()).digest()[:8], "big"
-    )
 
 
 class Applied(NamedTuple):

@@ -44,9 +44,10 @@ Replication phase two adds two more protocol-level concepts:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from ..trace import mix_int
 
 __all__ = [
     "OK",
@@ -143,13 +144,6 @@ class SessionTracker:
         return None
 
 
-def _mix(*parts: object) -> int:
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(
-        hashlib.sha256(text.encode()).digest()[:8], "big"
-    )
-
-
 @dataclass(frozen=True)
 class ClusterResponse:
     """The terminal answer for one logical operation (one token)."""
@@ -195,7 +189,7 @@ class RetryPolicy:
         """Seeded jitter in ``[0, 2**attempt)``, capped by the backoff
         ceiling — a pure function of ``(seed, token, attempt)``."""
         span = min(1 << attempt, self.backoff_cap)
-        return _mix(self.seed, "jitter", token, attempt) % max(1, span)
+        return mix_int(self.seed, "jitter", token, attempt) % max(1, span)
 
     def backoff(self, token: int, attempt: int) -> int:
         """Epoch gap between the ack timeout of dispatch ``attempt`` and

@@ -27,16 +27,11 @@ import bisect
 import hashlib
 from typing import Dict, List, Tuple
 
+from ..trace import mix_int
+
 __all__ = ["HashRing", "DEFAULT_VNODES", "moved_keys"]
 
 DEFAULT_VNODES = 64
-
-
-def _point(*parts: object) -> int:
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(
-        hashlib.sha256(text.encode()).digest()[:8], "big"
-    )
 
 
 class HashRing:
@@ -52,7 +47,7 @@ class HashRing:
         points: List[Tuple[int, int]] = []
         for shard in range(n_shards):
             for replica in range(vnodes):
-                points.append((_point("shard", shard, replica), shard))
+                points.append((mix_int("shard", shard, replica), shard))
         points.sort()
         self._hashes = [h for h, _ in points]
         self._owners = [s for _, s in points]
@@ -67,7 +62,7 @@ class HashRing:
 
     def shard_for(self, key: int) -> int:
         """The shard owning ``key`` (clockwise-next point on the ring)."""
-        h = _point("key", key)
+        h = mix_int("key", key)
         i = bisect.bisect_right(self._hashes, h)
         if i == len(self._hashes):
             i = 0

@@ -42,7 +42,6 @@ the retired primary kept around for the oracle's split-brain checks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +54,7 @@ from ..store.layout import StoreLayout
 from ..store.oracle import StoreModel, check_recovery
 from ..store.programs import Request, request_words
 from ..store.server import DATA_FLOOR
+from ..trace import image_digest
 from .protocol import fence_admits
 
 __all__ = [
@@ -83,10 +83,7 @@ class ShardState:
     crashes: int = 0
 
     def image_digest(self) -> str:
-        h = hashlib.sha256()
-        for w in sorted(self.image):
-            h.update(("%d=%d;" % (w, self.image[w])).encode())
-        return h.hexdigest()[:16]
+        return image_digest(self.image)
 
 
 #: one shipped unit of the replication log: the epoch the batch settled,

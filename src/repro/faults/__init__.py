@@ -14,12 +14,12 @@ from .campaign import (
     DEFAULT_CAMPAIGN_BENCHMARKS,
     STORE_CAMPAIGN_BENCHMARKS,
     CampaignResult,
-    replay_trace,
     resolve_benchmark,
     run_campaign,
 )
 from .defenses import ALL_ON, DEFENSE_OFF_MODES, Defenses
 from .injector import ScenarioResult, run_scenario
+from .kernel import replay_campaign
 from .machine import FaultyMachine, NestedPowerFailure
 from .model import (
     ACK_LATENCY_STEPS,
@@ -34,7 +34,6 @@ from .model import (
 )
 from .oracle import Violation, check_image, diff_images
 from .shrink import shrink_schedule
-from ..trace import NullTrace, image_hash, read_trace
 
 __all__ = [
     "ACK_LATENCY_STEPS",
@@ -49,7 +48,6 @@ __all__ = [
     "MSG_OPS",
     "NESTED_POINTS",
     "NestedPowerFailure",
-    "NullTrace",
     "RETRY_TIMEOUT_BOUNDARIES",
     "STORE_CAMPAIGN_BENCHMARKS",
     "ScenarioResult",
@@ -57,9 +55,7 @@ __all__ = [
     "Violation",
     "check_image",
     "diff_images",
-    "image_hash",
-    "read_trace",
-    "replay_trace",
+    "replay_campaign",
     "run_campaign",
     "run_scenario",
     "schedule_from_json",

@@ -34,9 +34,13 @@ from ..compiler.pipeline import CompiledProgram, compile_program
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..core.failure import reference_pm
 from ..errors import DeadlockError, MachineLimitError
+from ..parallel import fan_out
+from ..runtime.backend import get_backend, require_recovering
+from ..trace import EK, image_hash
 from ..workloads.suite import BENCHMARKS
 from .defenses import ALL_ON, DEFENSE_OFF_MODES, Defenses
 from .injector import run_scenario
+from .kernel import Campaign, Plane
 from .machine import FaultyMachine
 from .model import (
     ACK_LATENCY_STEPS,
@@ -48,7 +52,6 @@ from .model import (
 )
 from .oracle import Violation, check_image
 from .shrink import shrink_schedule
-from ..trace import JsonlTrace, NullTrace, image_hash, read_trace
 
 __all__ = [
     "DEFAULT_CAMPAIGN_BENCHMARKS",
@@ -59,7 +62,6 @@ __all__ = [
     "CampaignResult",
     "resolve_benchmark",
     "run_campaign",
-    "replay_trace",
 ]
 
 #: the sharding contract this build uses when ``jobs > 1``, recorded in
@@ -71,7 +73,7 @@ __all__ = [
 #: never influences a unit's inputs, the trace is byte-identical for
 #: every ``--jobs`` value — which is exactly why replay can refuse any
 #: trace recorded under a sharding contract it does not know how to
-#: reproduce (see :func:`replay_trace`).
+#: reproduce (see :func:`_check_trace_sharding`).
 CAMPAIGN_SHARDING = {
     "strategy": "round-robin",
     "unit": "benchmark+mode",
@@ -123,6 +125,13 @@ def _tiny_config(config: SystemConfig) -> SystemConfig:
     )
 
 
+#: the two machine configurations, by the tag each scenario record carries
+CONFIGS: Dict[str, SystemConfig] = {
+    "default": DEFAULT_CONFIG,
+    "tiny_wpq": _tiny_config(DEFAULT_CONFIG),
+}
+
+
 def _rng(seed: int, *parts: str) -> random.Random:
     """A deterministic stream per (seed, label...) — independent of
     PYTHONHASHSEED, unlike seeding Random with a string."""
@@ -148,12 +157,13 @@ class _Probe:
     reference: Dict[int, int]       # default config
     reference_tiny: Dict[int, int]  # tiny-WPQ config
 
+    def reference_for(self, cfg_tag: str) -> Dict[int, int]:
+        return self.reference if cfg_tag == "default" else self.reference_tiny
+
 
 def _probe_benchmark(
     compiled: CompiledProgram, config: SystemConfig, backend=None
 ) -> _Probe:
-    from ..trace import EK
-
     machine = FaultyMachine(compiled, config=config, backend=backend)
     boundary_steps: List[int] = []
     while True:
@@ -383,67 +393,9 @@ class CampaignResult:
         )
 
 
-def _run_one(
-    compiled: CompiledProgram,
-    schedule: List[FaultEvent],
-    config: SystemConfig,
-    defenses: Defenses,
-    reference: Dict[int, int],
-    trace,
-    backend=None,
-) -> Tuple[Optional[Violation], Dict]:
-    try:
-        result = run_scenario(
-            compiled, schedule, config=config, defenses=defenses, trace=trace,
-            backend=backend,
-        )
-    except (MachineLimitError, DeadlockError) as exc:
-        # A wedged or runaway run loop is a scenario verdict, not a
-        # harness crash: a fault schedule that livelocks recovery is
-        # exactly what the campaign exists to flag.
-        kind = (
-            "machine_limit" if isinstance(exc, MachineLimitError)
-            else "deadlock"
-        )
-        violation = Violation(kind=kind, detail=str(exc))
-        record = {
-            "schedule": schedule_to_json(schedule),
-            "image_hash": image_hash({}),
-            "steps": exc.steps,
-            "crashes": 0,
-            "skipped_events": 0,
-            "counters": {},
-            "violation": violation.to_json(),
-        }
-        return violation, record
-    violation = check_image(result.finished, result.image, reference)
-    record = {
-        "schedule": schedule_to_json(schedule),
-        "image_hash": image_hash(result.image),
-        "steps": result.stats.steps,
-        "crashes": result.stats.crashes,
-        "skipped_events": result.skipped_events,
-        "counters": {k: v for k, v in result.fault_counters.items() if v},
-        "violation": violation.to_json() if violation else None,
-    }
-    return violation, record
-
-
-def _benchmark_task(
-    name: str,
-    seed: int,
-    scale: float,
-    configs: Dict[str, SystemConfig],
-    fault_classes: Tuple[str, ...],
-    verify: Optional[bool],
-    backend,
-) -> Dict:
-    """One benchmark's whole scenario sweep — the unit of work the
-    scenario phase shards across workers.  A pure function of its
-    arguments (all RNG streams are keyed on ``(seed, name, ...)``), so
-    running it in a forked worker or in-process yields the same records
-    byte for byte."""
-    config = configs["default"]
+def _compile(
+    name: str, scale: float, verify: Optional[bool] = None
+) -> CompiledProgram:
     bench = resolve_benchmark(name)
     if bench.threads != 1:
         raise ValueError(
@@ -451,15 +403,82 @@ def _benchmark_task(
             "(got %r); the strict differential oracle does not "
             "apply to racy interleavings" % name
         )
-    compiled = compile_program(
-        bench.build(scale=scale), config.compiler, verify=verify
+    return compile_program(
+        bench.build(scale=scale), DEFAULT_CONFIG.compiler, verify=verify
     )
-    probe = _probe_benchmark(compiled, config, backend=backend)
+
+
+def _run_and_check(
+    compiled: CompiledProgram,
+    schedule: List[FaultEvent],
+    cfg_tag: str,
+    defenses: Defenses,
+    reference: Dict[int, int],
+    backend,
+) -> Tuple[Optional[Violation], Dict]:
+    """Run one schedule and judge it: the oracle's verdict, and the
+    outcome fields of the scenario's record.  The sweep, the defense
+    hunt, its shrinker and replay all judge a schedule here, so a wedged
+    or runaway run loop is a verdict everywhere, never a harness crash:
+    a fault schedule that livelocks recovery is exactly what the
+    campaign exists to flag."""
+    violation: Optional[Violation]
+    try:
+        result = run_scenario(
+            compiled, schedule, config=CONFIGS[cfg_tag], defenses=defenses,
+            backend=backend,
+        )
+    except (MachineLimitError, DeadlockError) as exc:
+        kind = (
+            "machine_limit" if isinstance(exc, MachineLimitError)
+            else "deadlock"
+        )
+        violation = Violation(kind=kind, detail=str(exc))
+        outcome: Dict = {
+            "image_hash": image_hash({}),
+            "steps": exc.steps,
+            "crashes": 0,
+            "skipped_events": 0,
+            "counters": {},
+        }
+    else:
+        violation = check_image(result.finished, result.image, reference)
+        outcome = {
+            "image_hash": image_hash(result.image),
+            "steps": result.stats.steps,
+            "crashes": result.stats.crashes,
+            "skipped_events": result.skipped_events,
+            "counters": {
+                k: v for k, v in result.fault_counters.items() if v
+            },
+        }
+    outcome.update(
+        schedule=schedule_to_json(schedule),
+        violation=violation.to_json() if violation else None,
+    )
+    return violation, outcome
+
+
+def _benchmark_task(
+    start: Dict, name: str, verify: Optional[bool]
+) -> Tuple[List[Dict], Tuple[CompiledProgram, _Probe]]:
+    """One benchmark's whole scenario sweep, the unit of work the
+    scenario phase shards across workers: its scenario records, plus the
+    compiled program and probe the defense-off phase reuses.  A pure
+    function of the start record and the benchmark (all RNG streams are
+    keyed on ``(seed, name, ...)``), so running it in a forked worker or
+    in-process yields the same records byte for byte."""
+    seed = start["seed"]
+    backend = get_backend(start["backend"])
+    compiled = _compile(name, start["scale"], verify)
+    probe = _probe_benchmark(compiled, DEFAULT_CONFIG, backend=backend)
 
     cells: List[Tuple[str, str, List[FaultEvent]]] = []
-    for fault_class in fault_classes:
+    for fault_class in start["fault_classes"]:
         rng = _rng(seed, name, fault_class)
-        for schedule in generate_schedules(fault_class, probe, rng, config):
+        for schedule in generate_schedules(
+            fault_class, probe, rng, DEFAULT_CONFIG
+        ):
             cells.append((fault_class, "default", schedule))
     if backend.gated:
         for fault_class, schedule in _tiny_wpq_schedules(
@@ -469,33 +488,22 @@ def _benchmark_task(
 
     records: List[Dict] = []
     for fault_class, cfg_tag, schedule in cells:
-        reference = (
-            probe.reference if cfg_tag == "default"
-            else probe.reference_tiny
-        )
-        _, record = _run_one(
-            compiled, schedule, configs[cfg_tag], ALL_ON,
-            reference, NullTrace(), backend=backend,
+        _, record = _run_and_check(
+            compiled, schedule, cfg_tag, ALL_ON,
+            probe.reference_for(cfg_tag), backend,
         )
         record.update(
             benchmark=name, fault_class=fault_class,
             config=cfg_tag, mode="all_on",
         )
         records.append(record)
-    return {
-        "benchmark": name,
-        "n_cells": len(cells),
-        "records": records,
-        "compiled": compiled,
-        "probe": probe,
-    }
+    return records, (compiled, probe)
 
 
 def run_campaign(
     seed: int = 0,
     benchmarks: Optional[Sequence[str]] = None,
     scale: float = DEFAULT_CAMPAIGN_SCALE,
-    config: SystemConfig = DEFAULT_CONFIG,
     trace_path: Optional[str] = None,
     validate_defenses: bool = True,
     progress: Optional[Callable[[str], None]] = None,
@@ -523,9 +531,6 @@ def run_campaign(
     ``jobs`` caps the worker processes (1 = serial, in-process);
     ``worker_timeout`` kills any shard that exceeds the budget (seconds)
     and raises a diagnostic instead of hanging."""
-    from ..parallel import fan_out
-    from ..runtime.backend import get_backend, require_recovering
-
     backend = require_recovering(
         get_backend(backend), "the differential campaign oracle"
     )
@@ -534,73 +539,52 @@ def run_campaign(
     )
     names = list(benchmarks or DEFAULT_CAMPAIGN_BENCHMARKS)
     say = progress or (lambda msg: None)
-    trace = JsonlTrace(trace_path) if trace_path else NullTrace()
     result = CampaignResult(seed=seed, benchmarks=names,
                             backend=backend.name,
                             fault_classes=fault_classes,
                             trace_path=trace_path)
-    tiny = _tiny_config(config)
-    configs = {"default": config, "tiny_wpq": tiny}
-
-    trace.emit(
-        "campaign_start", seed=seed, scale=scale, benchmarks=names,
-        backend=backend.name,
-        fault_classes=list(fault_classes),
-        tiny_wpq_entries=TINY_WPQ_ENTRIES, version=1,
-        sharding=dict(CAMPAIGN_SHARDING),
-    )
-
-    def scenario_worker(name: str) -> Dict:
-        return _benchmark_task(
-            name, seed, scale, configs, fault_classes, verify, backend
+    start = {
+        "seed": seed, "scale": scale, "benchmarks": names,
+        "backend": backend.name, "fault_classes": list(fault_classes),
+        "tiny_wpq_entries": TINY_WPQ_ENTRIES, "version": 1,
+        "sharding": dict(CAMPAIGN_SHARDING),
+    }
+    with Campaign(PLANE, start, trace_path) as campaign:
+        units = campaign.sweep(
+            lambda name: _benchmark_task(start, name, verify), names,
+            jobs=jobs, worker_timeout=worker_timeout,
         )
+        targets: Dict[str, Tuple[CompiledProgram, _Probe]] = {}
+        for name, (records, target) in zip(names, units):
+            targets[name] = target
+            violations = [r for r in records if r["violation"] is not None]
+            result.scenarios_run += len(records)
+            result.violations.extend(violations)
+            say("%-10s %2d scenarios, %d violation(s)"
+                % (name, len(records), len(violations)))
 
-    tasks = fan_out(
-        scenario_worker, names, jobs=jobs, timeout=worker_timeout,
-        label="campaign",
-    )
-    compiled_cache: Dict[str, CompiledProgram] = {}
-    probes: Dict[str, _Probe] = {}
-    for task in tasks:
-        name = task["benchmark"]
-        compiled_cache[name] = task["compiled"]
-        probes[name] = task["probe"]
-        bench_violations = 0
-        for record in task["records"]:
-            trace.emit("scenario_end", **record)
-            result.scenarios_run += 1
-            if record["violation"] is not None:
-                bench_violations += 1
-                result.violations.append(record)
-        say("%-10s %2d scenarios, %d violation(s)"
-            % (name, task["n_cells"], bench_violations))
+        if validate_defenses and backend.validates_defenses:
+            _validate_defenses(
+                result, targets, campaign, say, backend=backend,
+                jobs=jobs, worker_timeout=worker_timeout,
+            )
+        elif validate_defenses:
+            say("defense validation skipped: backend %r has no LRPO "
+                "defenses to switch off" % backend.name)
 
-    if validate_defenses and backend.validates_defenses:
-        _validate_defenses(
-            result, compiled_cache, probes, configs, seed, trace, say,
-            backend=backend, jobs=jobs, worker_timeout=worker_timeout,
+        campaign.end(
+            scenarios=result.scenarios_run,
+            violations=len(result.violations),
+            defenses_caught=result.defenses_caught,
+            defenses_total=len(result.defense_results),
         )
-    elif validate_defenses:
-        say("defense validation skipped: backend %r has no LRPO "
-            "defenses to switch off" % backend.name)
-
-    trace.emit(
-        "campaign_end",
-        scenarios=result.scenarios_run,
-        violations=len(result.violations),
-        defenses_caught=result.defenses_caught,
-        defenses_total=len(result.defense_results),
-    )
-    trace.close()
     return result
 
 
 def _defense_mode_task(
     mode: str,
     benchmarks: Sequence[str],
-    compiled_cache: Dict[str, CompiledProgram],
-    probes: Dict[str, _Probe],
-    configs: Dict[str, SystemConfig],
+    targets: Dict[str, Tuple[CompiledProgram, _Probe]],
     seed: int,
     backend,
 ) -> Dict:
@@ -611,45 +595,33 @@ def _defense_mode_task(
     entry: Dict = {"caught": False, "benchmark": None,
                    "candidates_tried": 0}
     for name in benchmarks:
-        compiled = compiled_cache[name]
-        probe = probes[name]
+        compiled, probe = targets[name]
         rng = _rng(seed, "defense", mode, name)
         cfg_tag, candidates = _defense_candidates(
-            mode, probe, rng, configs["default"]
+            mode, probe, rng, DEFAULT_CONFIG
         )
-        cfg = configs[cfg_tag]
-        reference = (
-            probe.reference if cfg_tag == "default"
-            else probe.reference_tiny
-        )
+        reference = probe.reference_for(cfg_tag)
 
-        def fails(schedule: List[FaultEvent]) -> bool:
-            res = run_scenario(
-                compiled, schedule, config=cfg, defenses=defenses,
-                trace=NullTrace(), backend=backend,
-            )
-            return check_image(
-                res.finished, res.image, reference
-            ) is not None
+        def verdict(schedule: List[FaultEvent]) -> Optional[Violation]:
+            return _run_and_check(
+                compiled, schedule, cfg_tag, defenses, reference, backend
+            )[0]
 
         caught_schedule = None
         for schedule in candidates:
             entry["candidates_tried"] += 1
-            if fails(schedule):
+            if verdict(schedule) is not None:
                 caught_schedule = schedule
                 break
         if caught_schedule is None:
             continue
 
         minimal, evals = shrink_schedule(
-            caught_schedule, fails, budget=SHRINK_BUDGET
+            caught_schedule, lambda s: verdict(s) is not None,
+            budget=SHRINK_BUDGET,
         )
         # record the minimal reproducer's actual violation
-        res = run_scenario(
-            compiled, minimal, config=cfg, defenses=defenses,
-            trace=NullTrace(), backend=backend,
-        )
-        violation = check_image(res.finished, res.image, reference)
+        violation = verdict(minimal)
         entry.update(
             caught=True, benchmark=name, config=cfg_tag,
             minimal=schedule_to_json(minimal),
@@ -664,11 +636,8 @@ def _defense_mode_task(
 
 def _validate_defenses(
     result: CampaignResult,
-    compiled_cache: Dict[str, CompiledProgram],
-    probes: Dict[str, _Probe],
-    configs: Dict[str, SystemConfig],
-    seed: int,
-    trace,
+    targets: Dict[str, Tuple[CompiledProgram, _Probe]],
+    campaign: Campaign,
     say: Callable[[str], None],
     backend=None,
     jobs: int = 1,
@@ -678,23 +647,17 @@ def _validate_defenses(
     failing schedule is shrunk to a minimal reproducer (verified to still
     fail).  Modes are independent, so they shard round-robin across
     workers; entries are merged back in sorted-mode order."""
-    from ..parallel import fan_out
-
     modes = sorted(DEFENSE_OFF_MODES)
-
-    def mode_worker(mode: str) -> Dict:
-        return _defense_mode_task(
-            mode, result.benchmarks, compiled_cache, probes, configs,
-            seed, backend,
-        )
-
     entries = fan_out(
-        mode_worker, modes, jobs=jobs, timeout=worker_timeout,
+        lambda mode: _defense_mode_task(
+            mode, result.benchmarks, targets, result.seed, backend
+        ),
+        modes, jobs=jobs, timeout=worker_timeout,
         label="defense-validation",
     )
     for mode, entry in zip(modes, entries):
         result.defense_results[mode] = entry
-        trace.emit("defense_mode", mode=mode, **entry)
+        campaign.trace.emit("defense_mode", mode=mode, **entry)
         say("defense %-24s %s" % (
             mode,
             "caught (%d-event reproducer on %s)"
@@ -735,80 +698,45 @@ def _check_trace_sharding(start: Dict, path: str) -> None:
         )
 
 
-def replay_trace(
-    path: str,
-    config: SystemConfig = DEFAULT_CONFIG,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-    worker_timeout: Optional[float] = None,
-) -> Dict:
-    """Re-run every scenario recorded in a campaign trace and verify the
-    outcome (image hash + oracle verdict) reproduces bit for bit.
+def _replayer(start: Dict, path: str) -> Callable[[Dict], Dict]:
+    """Replay for a campaign trace: each scenario record goes back
+    through :func:`_run_and_check`, built from the start record plus the
+    record itself."""
+    _check_trace_sharding(start, path)
+    backend = get_backend(start.get("backend", "lightwsp-lrpo"))
+    # per process: the serial path fills these for the whole trace, a
+    # forked worker fills its own for its shard
+    compiled: Dict[str, CompiledProgram] = {}
+    references: Dict[Tuple[str, str], Dict[int, int]] = {}
 
-    Scenarios are independent, so ``jobs > 1`` shards them round-robin
-    across workers; the report (checked count + mismatches in recorded
-    order) is identical for every ``jobs`` value.  A trace recorded
-    under a sharding contract this build does not support is refused
-    with an explanation (see :func:`_check_trace_sharding`)."""
-    from ..parallel import fan_out
-
-    from ..obs.schema import ensure_supported_version
-
-    say = progress or (lambda msg: None)
-    records = read_trace(path)
-    ensure_supported_version(records, path)
-    starts = [r for r in records if r.get("type") == "campaign_start"]
-    if not starts:
-        raise ValueError("not a campaign trace: %s" % path)
-    _check_trace_sharding(starts[0], path)
-    scale = starts[0]["scale"]
-    backend = starts[0].get("backend", "lightwsp-lrpo")
-    configs = {"default": config, "tiny_wpq": _tiny_config(config)}
-
-    scenarios = [r for r in records if r.get("type") == "scenario_end"]
-    compiled_cache: Dict[str, CompiledProgram] = {}
-
-    def replay_one(record: Dict) -> Optional[Dict]:
-        # the cache is per-process: the serial path fills one for the
-        # whole trace, a forked worker fills its own for its shard
-        name = record["benchmark"]
-        if name not in compiled_cache:
-            compiled_cache[name] = compile_program(
-                resolve_benchmark(name).build(scale=scale), config.compiler
+    def rerun(record: Dict) -> Dict:
+        name, cfg_tag = record["benchmark"], record["config"]
+        if name not in compiled:
+            compiled[name] = _compile(name, start["scale"])
+        if (name, cfg_tag) not in references:
+            references[name, cfg_tag] = reference_pm(
+                compiled[name], config=CONFIGS[cfg_tag], backend=backend
             )
-        cfg = configs[record["config"]]
         defenses = (
             ALL_ON if record["mode"] == "all_on"
             else DEFENSE_OFF_MODES[record["mode"]]
         )
-        schedule = schedule_from_json(record["schedule"])
-        res = run_scenario(
-            compiled_cache[name], schedule, config=cfg, defenses=defenses,
-            backend=backend,
-        )
-        # the recorded hash pins the exact final image (including any
-        # divergence), so one comparison verifies the whole outcome
-        got_hash = image_hash(res.image)
-        if got_hash == record["image_hash"]:
-            return None
-        return {
-            "benchmark": name,
-            "fault_class": record["fault_class"],
-            "schedule": record["schedule"],
-            "want_hash": record["image_hash"],
-            "got_hash": got_hash,
-        }
+        return _run_and_check(
+            compiled[name], schedule_from_json(record["schedule"]),
+            cfg_tag, defenses, references[name, cfg_tag], backend,
+        )[1]
 
-    outcomes = fan_out(
-        replay_one, scenarios, jobs=jobs, timeout=worker_timeout,
-        label="replay",
-    )
-    mismatches: List[Dict] = []
-    checked = 0
-    for outcome in outcomes:
-        checked += 1
-        if outcome is not None:
-            mismatches.append(outcome)
-        if checked % 50 == 0:
-            say("replayed %d scenarios..." % checked)
-    return {"checked": checked, "mismatches": mismatches}
+    return rerun
+
+
+PLANE = Plane(
+    start="campaign_start",
+    scenario="scenario_end",
+    end="campaign_end",
+    label="campaign",
+    replay_label="replay",
+    replayer=_replayer,
+    name_of=lambda record: "%s/%s/%s" % (
+        record["benchmark"], record["config"], record["fault_class"]
+    ),
+)

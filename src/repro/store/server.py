@@ -43,7 +43,7 @@ from .layout import KNUTH, META_COMPACTIONS, META_DROPS, StoreLayout
 from .oracle import StoreModel, check_recovery, visible_state
 from .programs import Request, build_store_program, request_words
 from .workload import generate_workload
-from ..trace import JsonlTrace, NullTrace
+from ..trace import JsonlTrace, NullTrace, image_digest, mix_int
 
 __all__ = [
     "DATA_FLOOR",
@@ -55,14 +55,6 @@ __all__ = [
 
 #: everything below this word address is the checkpoint array
 DATA_FLOOR = Program.CHECKPOINT_WORDS_PER_CORE * Program.MAX_CONTEXTS
-
-
-def _mix_int(*parts: int) -> int:
-    """Seeded, PYTHONHASHSEED-independent integer from the parts."""
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(
-        hashlib.sha256(text.encode()).digest()[:8], "big"
-    )
 
 
 def shard_of(key: int, shards: int) -> int:
@@ -434,7 +426,7 @@ class StoreServer:
                     if crash_step is not None:
                         step = max(1, crash_step)
                     else:
-                        step = 1 + _mix_int(
+                        step = 1 + mix_int(
                             self.seed, crash_seed, shard.shard, epoch
                         ) % (60 * len(chunk))
                     event = FaultEvent(
@@ -458,10 +450,7 @@ class StoreServer:
             )
             shard.report.drops = shard.image.get(lay.meta + META_DROPS, 0)
             shard.report.keys_live = len(shard.model.kv)
-            h = hashlib.sha256()
-            for w in sorted(shard.image):
-                h.update(("%d=%d;" % (w, shard.image[w])).encode())
-            shard.report.image_digest = h.hexdigest()[:16]
+            shard.report.image_digest = image_digest(shard.image)
             visible, problems = visible_state(shard.image, lay)
             self.violations.extend(
                 "shard %d final: %s" % (shard.shard, p) for p in problems

@@ -30,7 +30,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "EK",
@@ -47,8 +47,9 @@ __all__ = [
     "TruncatedTraceWarning",
     "set_default_strict",
     "image_hash",
+    "image_digest",
+    "mix_int",
     "read_trace",
-    "iter_scenarios",
 ]
 
 #: the trace.v1 contract version stamped into every JSONL record (see
@@ -164,6 +165,24 @@ def image_hash(image: Dict[int, int]) -> str:
     for word in sorted(image):
         digest.update(("%d:%d;" % (word, image[word])).encode())
     return digest.hexdigest()[:16]
+
+
+def image_digest(image: Dict[int, int]) -> str:
+    """A store shard's image fingerprint, as store and cluster runs
+    report and trace it.  Its ``w=v;`` word format differs from
+    :func:`image_hash`, whose format the faults traces pin."""
+    digest = hashlib.sha256()
+    for word in sorted(image):
+        digest.update(("%d=%d;" % (word, image[word])).encode())
+    return digest.hexdigest()[:16]
+
+
+def mix_int(*parts: object) -> int:
+    """A seeded integer from the parts, independent of PYTHONHASHSEED."""
+    text = ":".join(str(p) for p in parts)
+    return int.from_bytes(
+        hashlib.sha256(text.encode()).digest()[:8], "big"
+    )
 
 
 class TraceSchemaError(ValueError):
@@ -317,11 +336,3 @@ def read_trace(path: str, lenient: bool = False) -> List[Dict]:
                 "writer?); pass lenient=True to drop it",
             ) from None
     return records
-
-
-def iter_scenarios(records: List[Dict]) -> Iterator[Dict]:
-    """Yield the scenario_end records (each carries everything needed to
-    replay: benchmark, fault class, schedule, defenses, outcome)."""
-    for record in records:
-        if record.get("type") == "scenario_end":
-            yield record

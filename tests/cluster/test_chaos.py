@@ -3,15 +3,17 @@ trace parity, the campaign, and JSONL replay."""
 
 import pytest
 
+from helpers import write_trace
+
 from repro.cluster import (
     ClusterFault,
     ClusterSession,
     chaos_from_json,
     chaos_to_json,
     generate_cluster_chaos,
-    replay_cluster_trace,
     run_cluster_campaign,
 )
+from repro.faults import replay_campaign
 from repro.trace import JsonlTrace, read_trace
 
 
@@ -87,7 +89,7 @@ class TestCampaign:
         assert "cluster_campaign_start" in types
         assert "cluster_scenario" in types
         assert "cluster_campaign_end" in types
-        assert replay_cluster_trace(records) == []
+        assert replay_campaign(path)["mismatches"] == []
 
     def test_campaign_refuses_lossy_backends(self):
         # PSP loses acked writes at a power cut by design; the cluster
@@ -105,7 +107,8 @@ class TestCampaign:
         for record in records:
             if record["type"] == "cluster_scenario":
                 record["digest"] = "0" * 16
-        assert replay_cluster_trace(records)
+        tampered = write_trace(records, str(tmp_path / "tampered.jsonl"))
+        assert replay_campaign(tampered)["mismatches"]
 
     def test_replay_progress_is_per_scenario(self, tmp_path):
         # a mismatch in the first scenario must not mark the next one
@@ -117,8 +120,11 @@ class TestCampaign:
         records = read_trace(path)
         first = next(r for r in records if r["type"] == "cluster_scenario")
         first["digest"] = "0" * 16
+        tampered = write_trace(records, str(tmp_path / "tampered.jsonl"))
         said = []
-        mismatches = replay_cluster_trace(records, progress=said.append)
+        mismatches = replay_campaign(
+            tampered, progress=said.append
+        )["mismatches"]
         assert len(mismatches) == 1
         assert said == [
             "  replayed lightwsp-lrpo seed=0: MISMATCH",

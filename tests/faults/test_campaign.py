@@ -1,17 +1,20 @@
 """Campaign-level tests: determinism, the replay artifact, defense-off
 self-validation, and schedule shrinking."""
 
+import inspect
+
 import pytest
+
+from helpers import write_trace
 
 from repro.faults import (
     DEFENSE_OFF_MODES,
     FaultEvent,
-    read_trace,
-    replay_trace,
+    replay_campaign,
     run_campaign,
     shrink_schedule,
 )
-from repro.trace import iter_scenarios
+from repro.trace import read_trace
 
 BENCH = ["bzip2"]
 
@@ -47,7 +50,7 @@ class TestCampaign:
         records = read_trace(path)
         assert records[0]["type"] == "campaign_start"
         assert records[-1]["type"] == "campaign_end"
-        scenarios = list(iter_scenarios(records))
+        scenarios = [r for r in records if r["type"] == "scenario_end"]
         assert len(scenarios) == result.scenarios_run
         for record in scenarios:
             assert record["schedule"], record
@@ -62,13 +65,65 @@ class TestCampaign:
 
     def test_replay_reproduces_every_scenario(self, campaign):
         result, path = campaign
-        report = replay_trace(path)
+        report = replay_campaign(path)
         assert report["checked"] == result.scenarios_run
         assert report["mismatches"] == []
+
+    def test_replay_notices_tampering(self, campaign, tmp_path):
+        _, path = campaign
+        records = read_trace(path)
+        first = next(r for r in records if r["type"] == "scenario_end")
+        recorded = first["image_hash"]
+        first["image_hash"] = "0" * 16
+        report = replay_campaign(
+            write_trace(records, str(tmp_path / "tampered.jsonl"))
+        )
+        assert report["mismatches"] == [
+            "%s/%s/%s: image_hash %s, trace recorded %s" % (
+                first["benchmark"], first["config"], first["fault_class"],
+                recorded, "0" * 16,
+            )
+        ]
 
     def test_multithreaded_benchmark_rejected(self):
         with pytest.raises(ValueError, match="single-threaded"):
             run_campaign(seed=0, benchmarks=["cg"], validate_defenses=False)
+
+
+class TestWedgedRuns:
+    """A run that exhausts the machine's step budget is a verdict in
+    every phase: the sweep records it, replay reproduces it, and the
+    defense hunt counts it as a failure."""
+
+    @pytest.fixture(autouse=True)
+    def step_budget(self, monkeypatch):
+        from repro.faults import injector
+
+        fn = injector.run_scenario
+        params = list(inspect.signature(fn).parameters)
+        defaults = list(fn.__defaults__)
+        defaults[params.index("max_steps") - len(params) + len(defaults)] = 1000
+        monkeypatch.setattr(fn, "__defaults__", tuple(defaults))
+
+    def test_sweep_records_and_replay_reproduces_wedged_runs(self, tmp_path):
+        path = str(tmp_path / "wedged.jsonl")
+        result = run_campaign(
+            seed=0, benchmarks=BENCH, trace_path=path,
+            validate_defenses=False,
+        )
+        kinds = [v["violation"]["kind"] for v in result.violations]
+        assert kinds == ["machine_limit"] * 8
+        report = replay_campaign(path)
+        assert report["checked"] == result.scenarios_run
+        assert report["mismatches"] == []
+
+    def test_defense_hunt_counts_a_wedged_run_as_a_failure(self):
+        result = run_campaign(seed=0, benchmarks=BENCH)
+        assert sorted(result.defense_results) == sorted(DEFENSE_OFF_MODES)
+        assert any(
+            entry["violation"]["kind"] == "machine_limit"
+            for entry in result.defense_results.values()
+        )
 
 
 class TestShrink:
@@ -139,6 +194,6 @@ class TestStoreCampaign:
         )
         assert result.scenarios_run >= 10
         assert result.violations == []
-        report = replay_trace(path)
+        report = replay_campaign(path)
         assert report["checked"] == result.scenarios_run
         assert report["mismatches"] == []

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+import json
+from typing import Dict, List, Sequence
 
 from repro.compiler import FunctionBuilder, Program, run_single
 
@@ -122,3 +123,11 @@ def run_data(prog: Program, func: str = "main", args: Sequence[int] = ()) -> Dic
     """Run to completion and return the data-memory image."""
     _, mem = run_single(prog, func, args=args)
     return data_words(mem)
+
+
+def write_trace(records: List[Dict], path: str) -> str:
+    """Write (possibly tampered) trace records back out as JSONL."""
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return path

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.__main__ import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -134,3 +136,17 @@ class TestReplayVersionGate:
             fh.write(text[:-20])  # cut mid final record
         assert main(["faults", "replay", path]) == 2
         assert "truncated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("src", [CAMPAIGN, CLUSTER], ids=os.path.basename)
+    def test_replay_refuses_a_trace_without_scenarios(
+        self, src, tmp_path, capsys
+    ):
+        # a start record alone checks nothing, and nothing checked is
+        # not a pass
+        path = str(tmp_path / "start-only.jsonl")
+        with open(src) as fh, open(path, "w") as out:
+            out.write(fh.readline())
+        assert main(["faults", "replay", path]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "nothing to replay" in out

@@ -6,59 +6,72 @@ import os
 
 import pytest
 
+from helpers import write_trace
+
 from repro.__main__ import main
-from repro.cluster import replay_cluster_trace
-from repro.faults import replay_trace
+from repro.faults import replay_campaign
 from repro.trace import TRACE_SCHEMA_VERSION, read_trace
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 CAMPAIGN = os.path.join(DATA, "faults-campaign-seed0.jsonl")
 CLUSTER = os.path.join(DATA, "cluster-chaos-seed0.jsonl")
 FAILOVER = os.path.join(DATA, "cluster-failover-seed0.jsonl")
-#: one replicated session with a live reshard, regenerated by
-#: `repro cluster serve --seed 22 --replicate --follower-kills 1
-#: --reshard-at 3 --trace <path>`
+#: one replicated session with a live reshard
 SESSION = os.path.join(DATA, "cluster-session-seed22.jsonl")
-SESSION_ARGS = [
-    "cluster", "serve", "--seed", "22", "--replicate",
-    "--follower-kills", "1", "--reshard-at", "3",
-]
+#: the command that regenerates each committed trace (plus --trace)
+SEED_TRACES = {
+    CAMPAIGN: ["faults", "campaign", "--seed", "0"],
+    CLUSTER: ["faults", "campaign", "--workload", "cluster", "--seed", "0"],
+    FAILOVER: [
+        "faults", "campaign", "--workload", "cluster", "--seed", "0",
+        "--replicate", "--follower-kills", "1",
+    ],
+    SESSION: [
+        "cluster", "serve", "--seed", "22", "--replicate",
+        "--follower-kills", "1", "--reshard-at", "3",
+    ],
+}
 
 
 class TestSeedTraces:
     def test_campaign_seed_trace_replays_bit_for_bit(self):
-        report = replay_trace(CAMPAIGN, jobs=2)
+        report = replay_campaign(CAMPAIGN, jobs=2)
         assert report["mismatches"] == []
         records = read_trace(CAMPAIGN)
         scenarios = [r for r in records if r["type"] == "scenario_end"]
         assert report["checked"] == len(scenarios)
 
     def test_cluster_seed_trace_replays_bit_for_bit(self):
-        records = read_trace(CLUSTER)
-        assert replay_cluster_trace(records) == []
+        assert replay_campaign(CLUSTER)["mismatches"] == []
 
     def test_failover_seed_trace_replays_bit_for_bit(self):
-        records = read_trace(FAILOVER)
-        assert replay_cluster_trace(records) == []
+        assert replay_campaign(FAILOVER)["mismatches"] == []
 
-    def test_cluster_replay_mismatches_are_the_same_at_any_jobs(self):
+    def test_cluster_replay_mismatches_are_the_same_at_any_jobs(
+        self, tmp_path
+    ):
         records = read_trace(FAILOVER)
         scenarios = [r for r in records if r["type"] == "cluster_scenario"]
         scenarios[1]["digest"] = "0" * 16
-        serial = replay_cluster_trace(records, jobs=1)
+        path = write_trace(records, str(tmp_path / "tampered.jsonl"))
+        serial = replay_campaign(path, jobs=1)["mismatches"]
         assert len(serial) == 1
         assert serial[0].startswith("%s seed=%d: digest" % (
             scenarios[1]["backend"], scenarios[1]["seed"]))
-        assert replay_cluster_trace(records, jobs=2) == serial
+        assert replay_campaign(path, jobs=2)["mismatches"] == serial
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_session_seed_trace_regenerates_byte_for_byte(
-        self, jobs, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "seed_trace", sorted(SEED_TRACES), ids=os.path.basename
+    )
+    def test_seed_trace_regenerates_byte_for_byte(
+        self, seed_trace, jobs, tmp_path, capsys
     ):
-        path = str(tmp_path / "session.jsonl")
-        assert main(SESSION_ARGS + ["--jobs", str(jobs), "--trace", path]) == 0
+        path = str(tmp_path / "regenerated.jsonl")
+        args = SEED_TRACES[seed_trace] + ["--jobs", str(jobs)]
+        assert main(args + ["--trace", path]) == 0
         capsys.readouterr()
-        with open(path, "rb") as fh, open(SESSION, "rb") as want:
+        with open(path, "rb") as fh, open(seed_trace, "rb") as want:
             assert fh.read() == want.read()
 
     def test_session_seed_trace_shape(self):

@@ -10,8 +10,9 @@ from helpers import saxpy_program
 from repro.compiler import compile_program
 from repro.config import CompilerConfig
 from repro.core.failure import crash_sweep
-from repro.faults import read_trace, replay_trace, run_campaign
+from repro.faults import replay_campaign, run_campaign
 from repro.runtime import compare_backends
+from repro.trace import read_trace
 
 BENCH = ["bzip2"]
 
@@ -58,8 +59,8 @@ class TestCampaignParity:
 
     def test_replay_parity(self, traces):
         _, path = traces[1]
-        serial = replay_trace(path, jobs=1)
-        parallel = replay_trace(path, jobs=3)
+        serial = replay_campaign(path, jobs=1)
+        parallel = replay_campaign(path, jobs=3)
         assert parallel == serial
         assert serial["mismatches"] == []
         assert serial["checked"] >= 10

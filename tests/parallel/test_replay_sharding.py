@@ -2,11 +2,12 @@
 build cannot reproduce — and must keep accepting legacy traces that
 predate the parallel layer (no ``sharding`` field at all)."""
 
-import json
-
 import pytest
 
-from repro.faults import read_trace, replay_trace, run_campaign
+from helpers import write_trace
+
+from repro.faults import replay_campaign, run_campaign
+from repro.trace import read_trace
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +24,12 @@ def _rewrite_start(src, dst, mutate):
     records = read_trace(src)
     assert records[0]["type"] == "campaign_start"
     mutate(records[0])
-    with open(dst, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return dst
+    return write_trace(records, dst)
 
 
 class TestReplaySharding:
     def test_supported_contract_replays(self, trace_path):
-        report = replay_trace(trace_path)
+        report = replay_campaign(trace_path)
         assert report["mismatches"] == []
 
     def test_unknown_strategy_refused_with_explanation(
@@ -46,7 +44,7 @@ class TestReplaySharding:
             ),
         )
         with pytest.raises(ValueError) as exc:
-            replay_trace(alien)
+            replay_campaign(alien)
         msg = str(exc.value)
         assert "sharding contract" in msg
         assert "hash-bucket" in msg
@@ -61,12 +59,12 @@ class TestReplaySharding:
             lambda start: start.__setitem__("sharding", future),
         )
         with pytest.raises(ValueError, match="sharding contract"):
-            replay_trace(path)
+            replay_campaign(path)
 
     def test_legacy_trace_without_field_replays(self, trace_path, tmp_path):
         legacy = _rewrite_start(
             trace_path, str(tmp_path / "legacy.jsonl"),
             lambda start: start.pop("sharding"),
         )
-        report = replay_trace(legacy)
+        report = replay_campaign(legacy)
         assert report["mismatches"] == []
