@@ -383,18 +383,16 @@ def _verify_placement_modes(args, config, targets) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        chosen = [get_backend(b) for b in args.backends] \
-            if args.backends else None
-    except KeyError as exc:
+        report = compare_backends(
+            benchmark=args.benchmark,
+            scale=args.scale,
+            backends=args.backends,
+            smoke=args.smoke,
+            jobs=args.jobs,
+        )
+    except (KeyError, ValueError) as exc:
         print(exc.args[0])
         return 2
-    report = compare_backends(
-        benchmark=args.benchmark,
-        scale=args.scale,
-        backends=chosen,
-        smoke=args.smoke,
-        jobs=args.jobs,
-    )
     print(format_compare(report))
     print("compare: %s" % ("PASS" if report.ok else
                            "FAIL (a crash-consistent backend diverged)"))
@@ -413,7 +411,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             scale=args.scale,
             jobs=args.jobs,
             trace_path=args.trace,
-            profile_path=args.profile,
         )
     except KeyError as exc:
         print(exc.args[0])
@@ -1030,11 +1027,6 @@ def main(argv=None) -> int:
     p_bench.add_argument(
         "--threshold", type=float, default=0.10,
         help="regression threshold as a fraction (default 0.10)",
-    )
-    p_bench.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="cProfile the run: write a pstats dump at PATH and a "
-             "PATH.json hot-function summary (forces --jobs 1)",
     )
 
     p_sweep = sub.add_parser(

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.interp import run_single, run_threads
 from ..compiler.ir import Program
-from ..compiler.pipeline import compile_program
+from ..compiler.pipeline import CompiledProgram, compile_program
 from ..config import CXL_PRESETS, DEFAULT_CONFIG, SystemConfig, VictimPolicy
 from ..runtime.backends import CAPRI, CWSP, LIGHTWSP, MEMORY_MODE, PPA, PSP_IDEAL
 from ..runtime.policy import SchemePolicy
@@ -106,7 +106,8 @@ class FigureResult:
 
 
 class ExperimentContext:
-    """Shared trace cache + defaults for one experiment campaign.
+    """Shared program and trace cache + defaults for one experiment
+    campaign, and the one place that measures a scheme on a benchmark.
 
     ``scale`` multiplies every benchmark's dynamic op count: 1.0 is the
     documented full size (~30k-200k instructions per app), smaller values
@@ -127,6 +128,7 @@ class ExperimentContext:
             raise KeyError("unknown benchmarks: %s" % ", ".join(unknown))
         self.names = names
         self._base: Dict[Tuple, List[TraceEvent]] = {}
+        self._programs: Dict[Tuple, CompiledProgram] = {}
         self._compiled: Dict[Tuple, List[TraceEvent]] = {}
 
     # ------------------------------------------------------------------
@@ -145,6 +147,22 @@ class ExperimentContext:
             )
         return self._base[key]
 
+    def compiled(
+        self,
+        name: str,
+        config: Optional[SystemConfig] = None,
+        threads: Optional[int] = None,
+    ) -> CompiledProgram:
+        """The LightWSP-compiled binary, compiled once per benchmark,
+        thread count and compiler configuration."""
+        bench = BENCHMARKS[name]
+        cc = (config or self.config).compiler
+        key = (name, threads or bench.threads, cc)
+        if key not in self._programs:
+            program = bench.build(scale=self.scale, threads=threads)
+            self._programs[key] = compile_program(program, cc)
+        return self._programs[key]
+
     def compiled_trace(
         self,
         name: str,
@@ -152,13 +170,11 @@ class ExperimentContext:
         threads: Optional[int] = None,
     ) -> List[TraceEvent]:
         bench = BENCHMARKS[name]
-        cc = (config or self.config).compiler
-        key = (name, threads or bench.threads, cc)
+        key = (name, threads or bench.threads, (config or self.config).compiler)
         if key not in self._compiled:
-            program = bench.build(scale=self.scale, threads=threads)
-            compiled = compile_program(program, cc)
             self._compiled[key] = trace_of(
-                compiled.program, bench.entries(threads), _MAX_TRACE_STEPS
+                self.compiled(name, config, threads).program,
+                bench.entries(threads), _MAX_TRACE_STEPS,
             )
         return self._compiled[key]
 
@@ -194,6 +210,25 @@ class ExperimentContext:
         base = self.run(name, MEMORY_MODE, config=config, threads=threads)
         res = self.run(name, policy, config=config, threads=threads)
         return res.cycles / base.cycles, res
+
+    def measure(self, name: str, policy: SchemePolicy) -> Dict[str, float]:
+        """One scheme on one benchmark as ``repro compare`` and ``repro
+        bench`` report it: cycles, slowdown over memory mode, instructions,
+        simulated throughput, persist-path traffic (entries, and bytes at
+        the policy's entry granularity) and Eq. 1 efficiency."""
+        slowdown, res = self.slowdown(name, policy)
+        ns = self.config.cycles_to_ns(res.cycles)
+        return {
+            "cycles": res.cycles,
+            "slowdown": slowdown,
+            "instructions": float(res.instructions),
+            "throughput_minst_s": (res.instructions / ns * 1e3) if ns else 0.0,
+            "persist_entries": float(res.persist_entries),
+            "persist_bytes": float(
+                res.persist_entries * 8 * policy.entry_factor
+            ),
+            "efficiency": res.persistence_efficiency,
+        }
 
 
 # ----------------------------------------------------------------------

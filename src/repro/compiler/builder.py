@@ -56,10 +56,6 @@ class FunctionBuilder:
         self._current = self.func.add_block(label)
         return self._current
 
-    def switch_to(self, label: str) -> BasicBlock:
-        self._current = self.func.blocks[label]
-        return self._current
-
     @property
     def current(self) -> BasicBlock:
         if self._current is None:

@@ -413,10 +413,6 @@ class ThreadVM:
     def _advance(self) -> None:
         self.index += 1
 
-    def _jump(self, label: str) -> None:
-        self.block = label
-        self.index = 0
-
     def _h_const(self, c: Code) -> Optional[TraceEvent]:
         self.steps += 1
         self.regs[c[2]] = c[3]

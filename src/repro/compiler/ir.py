@@ -361,8 +361,5 @@ class Program:
                         "call to unknown function %r" % (instr.callee,)
                     )
 
-    def total_words(self) -> int:
-        return self._next_addr
-
     def __str__(self) -> str:
         return "\n\n".join(str(f) for f in self.functions.values())

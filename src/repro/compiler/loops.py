@@ -32,9 +32,6 @@ class NaturalLoop:
     def store_count(self, func: Function) -> int:
         return sum(func.blocks[lbl].store_count() for lbl in self.body)
 
-    def block_count(self) -> int:
-        return len(self.body)
-
 
 def find_loops(func: Function, cfg: Optional[CFG] = None) -> List[NaturalLoop]:
     """All natural loops, merged per header (a header with several back

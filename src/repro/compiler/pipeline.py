@@ -123,7 +123,6 @@ def compile_program(
     program: Program,
     config: Optional[CompilerConfig] = None,
     verify: Optional[bool] = None,
-    minimize_boundaries: bool = False,
 ) -> CompiledProgram:
     """Run the full Fig. 3 pipeline on a clone of ``program``.
 
@@ -131,12 +130,7 @@ def compile_program(
     verifier (:mod:`repro.verify`) and raises
     :class:`~repro.verify.VerificationError` on any rule violation.
     ``verify=None`` defers to :func:`set_default_verify` and then the
-    ``REPRO_VERIFY`` environment variable; the default is off.
-
-    ``minimize_boundaries=True`` runs the verifier-backed minimizer
-    (:func:`repro.verify.place.minimize_compiled`) as a final pass,
-    deleting every boundary whose removal the rule checkers prove safe;
-    the count lands in ``stats.minimized_boundaries``."""
+    ``REPRO_VERIFY`` environment variable; the default is off."""
     config = config or CompilerConfig()
     program.validate()
     prog = clone_program(program)
@@ -163,13 +157,6 @@ def compile_program(
         )
     prog.validate()
 
-    if minimize_boundaries:
-        # Imported lazily for the same reason as the verify gate below.
-        from ..verify.place import minimize_compiled
-
-        minimize_compiled(compiled)
-        prog.validate()
-
     if _verify_enabled(verify):
         # Imported lazily: repro.verify audits this module's output and
         # importing it at module scope would be circular.
@@ -179,8 +166,8 @@ def compile_program(
         if not report.ok:
             raise VerificationError(report)
 
-    # Lower every block to interpreter dispatch code now, after the
-    # minimizer has stopped editing blocks, so runs never pay it lazily.
+    # Lower every block to interpreter dispatch code now, so runs never
+    # pay it lazily.
     precompile_dispatch(prog)
     return compiled
 

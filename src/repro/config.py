@@ -257,9 +257,6 @@ class SystemConfig:
             self, persist_path=replace(self.persist_path, bandwidth_gbps=gbps)
         )
 
-    def with_cores(self, cores: int) -> "SystemConfig":
-        return replace(self, cores=cores)
-
     def with_mcs(self, n_mcs: int) -> "SystemConfig":
         return replace(self, mc=replace(self.mc, n_mcs=n_mcs))
 

@@ -4,6 +4,8 @@ These wrap :class:`~repro.core.machine.PersistentMachine` into the two
 workflows tests and examples need:
 
 * :func:`reference_pm` — the failure-free persisted image;
+* :func:`boundary_steps` — the failure-free run's length and the steps at
+  which its region boundaries retire, where every crash driver probes;
 * :func:`run_with_crashes` — execute with power failures injected at given
   instruction counts, recovering after each, and return the final image.
 
@@ -17,10 +19,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.pipeline import CompiledProgram
 from ..config import DEFAULT_CONFIG, SystemConfig
+from ..errors import MachineLimitError
 from ..trace import EK
 from .machine import MachineStats, PersistentMachine
 
-__all__ = ["reference_pm", "run_with_crashes", "crash_sweep"]
+__all__ = ["reference_pm", "boundary_steps", "run_with_crashes", "crash_sweep"]
 
 Entries = Sequence[Tuple[str, Sequence[int]]]
 DEFAULT_ENTRIES: Entries = (("main", ()),)
@@ -51,6 +54,32 @@ def reference_pm(
     if not machine.run():
         raise RuntimeError("program did not finish within the step budget")
     return machine.pm_data()
+
+
+def boundary_steps(
+    compiled: CompiledProgram,
+    entries: Entries = DEFAULT_ENTRIES,
+    config: SystemConfig = DEFAULT_CONFIG,
+    schedule_seed: int = 0,
+    backend: object = None,
+) -> Tuple[int, List[int]]:
+    """Walk the failure-free run once: its total step count and the
+    cumulative step at which each region boundary retired, in order.
+    Raises :class:`~repro.errors.MachineLimitError` once the walk
+    reaches the machine's ``max_steps``."""
+    probe = _machine(compiled, entries, config, schedule_seed, backend)
+    steps: List[int] = []
+    while True:
+        event = probe.step()
+        if event is None:
+            return probe.stats.steps, steps
+        if probe.stats.steps >= probe.max_steps:
+            raise MachineLimitError(
+                "machine exceeded max_steps",
+                steps=probe.stats.steps, limit=probe.max_steps,
+            )
+        if event.kind == EK.BOUNDARY:
+            steps.append(probe.stats.steps)
 
 
 def run_with_crashes(
@@ -93,7 +122,6 @@ def crash_sweep(
     max_points: Optional[int] = None,
     backend: object = None,
     jobs: int = 1,
-    worker_timeout: Optional[float] = None,
 ) -> List[int]:
     """Crash once per probe point of the failure-free execution and check
     recovery each time.  Returns the list of crash points whose final
@@ -115,24 +143,15 @@ def crash_sweep(
     itself, so the sorted merge is identical to the serial sweep."""
     reference = reference_pm(compiled, entries, config, schedule_seed,
                              backend=backend)
-
-    probe = _machine(compiled, entries, config, schedule_seed, backend)
-    boundary_steps: List[int] = []
-    while True:
-        event = probe.step()
-        if event is None:
-            break
-        if probe.stats.steps >= probe.max_steps:
-            raise RuntimeError("machine exceeded max_steps")
-        if event.kind == EK.BOUNDARY:
-            boundary_steps.append(probe.stats.steps)
-    total_steps = probe.stats.steps
+    total_steps, boundaries = boundary_steps(
+        compiled, entries, config, schedule_seed, backend
+    )
 
     if stride is not None:
         points = list(range(1, total_steps + 1, stride))
     else:
         candidates = {1}
-        for b in boundary_steps:
+        for b in boundaries:
             for delta in (-1, 0, 1):
                 if 1 <= b + delta <= total_steps:
                     candidates.add(b + delta)
@@ -165,8 +184,5 @@ def crash_sweep(
     shards = [
         [points[i] for i in idx] for idx in shard_units(len(points), jobs)
     ]
-    results = run_shards(
-        sweep_points, shards, jobs=jobs, timeout=worker_timeout,
-        label="crash-sweep",
-    )
+    results = run_shards(sweep_points, shards, jobs=jobs, label="crash-sweep")
     return sorted(p for shard in results for p in shard)

@@ -108,18 +108,6 @@ class FunctionalWPQ:
     def has_region(self, region: int) -> bool:
         return region in self._buckets
 
-    def peek_region(self, region: int) -> List[WPQEntry]:
-        """The region's entries in arrival (FIFO) order, without removing
-        them — the retention view a battery drain uses while a persist
-        write is still unverified (entries stay quarantined until their PM
-        write completes, so a torn write can be re-issued)."""
-        return [entry for _, entry in self._buckets.get(region, ())]
-
-    def occupancy_bytes(self, entry_bytes: int = 8) -> int:
-        """Bytes a battery drain of this WPQ must move to PM — the
-        quantity the residual-energy model prices (§II-C1)."""
-        return self._count * entry_bytes
-
     def pop_region(self, region: int) -> List[WPQEntry]:
         """Remove and return the region's entries in arrival (FIFO) order —
         the bulk flush that commits the region to PM."""

@@ -32,11 +32,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..analysis.battery import per_entry_drain_joules
 from ..compiler.pipeline import CompiledProgram, compile_program
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..core.failure import reference_pm
+from ..core.failure import boundary_steps, reference_pm
 from ..errors import DeadlockError, MachineLimitError
 from ..parallel import fan_out
 from ..runtime.backend import get_backend, require_recovering
-from ..trace import EK, image_hash
+from ..trace import image_hash
 from ..workloads.suite import BENCHMARKS
 from .defenses import ALL_ON, DEFENSE_OFF_MODES, Defenses
 from .injector import run_scenario
@@ -164,23 +164,16 @@ class _Probe:
 def _probe_benchmark(
     compiled: CompiledProgram, config: SystemConfig, backend=None
 ) -> _Probe:
-    machine = FaultyMachine(compiled, config=config, backend=backend)
-    boundary_steps: List[int] = []
-    while True:
-        event = machine.step()
-        if event is None:
-            break
-        if event.kind == EK.BOUNDARY:
-            boundary_steps.append(machine.stats.steps)
-    total = machine.stats.steps
-
+    total, boundaries = boundary_steps(
+        compiled, config=config, backend=backend
+    )
     reference = reference_pm(compiled, config=config, backend=backend)
-    if not machine.persist.gated:
+    if not get_backend(backend).gated:
         # no WPQ to shrink: the tiny-WPQ overflow surface only exists
         # for gated (quarantine-based) backends
         return _Probe(
             total_steps=total,
-            boundary_steps=boundary_steps,
+            boundary_steps=boundaries,
             open_undo_steps=[],
             reference=reference,
             reference_tiny=reference,
@@ -199,7 +192,7 @@ def _probe_benchmark(
                 break
     return _Probe(
         total_steps=total,
-        boundary_steps=boundary_steps,
+        boundary_steps=boundaries,
         open_undo_steps=open_undo,
         reference=reference,
         reference_tiny=reference_pm(compiled, config=tiny, backend=backend),

@@ -75,10 +75,33 @@ class BenchDiff:
 
 
 def load_report(path: str) -> Dict:
+    """Read a ``BENCH_*.json`` artifact.  Raises ``ValueError`` naming the
+    path and the first field whose shape :func:`diff_reports` cannot
+    compare: the artifact is an object whose ``entries`` is an object of
+    objects, each with a ``metrics`` object of numbers."""
     with open(path) as fh:
         payload = json.load(fh)
+
+    def malformed(field: str, want: str) -> ValueError:
+        return ValueError("%s: %s is not %s" % (path, field, want))
+
+    if not isinstance(payload, dict):
+        raise malformed("top level", "an object")
     if payload.get("kind") != "repro-bench":
         raise ValueError("%s is not a repro-bench artifact" % path)
+    entries = payload.get("entries")
+    if not isinstance(entries, dict):
+        raise malformed("entries", "an object")
+    for name, entry in entries.items():
+        field = "entries.%s" % name
+        if not isinstance(entry, dict):
+            raise malformed(field, "an object")
+        metrics = entry.get("metrics")
+        if not isinstance(metrics, dict):
+            raise malformed(field + ".metrics", "an object")
+        for metric, value in metrics.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise malformed("%s.metrics.%s" % (field, metric), "a number")
     return payload
 
 

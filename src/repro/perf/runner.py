@@ -34,9 +34,6 @@ SMOKE_SCALE = 0.02
 SMOKE_OPS = 200
 SMOKE_KEYSPACE = 32
 
-#: how many functions the --profile JSON summary keeps
-PROFILE_TOP_N = 40
-
 
 @dataclass
 class BenchEntry:
@@ -86,34 +83,16 @@ class BenchReport:
 
 def _run_sim_entry(spec: BenchSpec, scale: float) -> Dict[str, float]:
     from ..analysis import ExperimentContext
-    from ..compiler.pipeline import compile_program
-    from ..config import DEFAULT_CONFIG, CompilerConfig
     from ..runtime import get_backend
-    from ..workloads.suite import BENCHMARKS
 
-    backend = get_backend(None)  # lightwsp-lrpo
     ctx = ExperimentContext(scale=scale, benchmarks=[spec.target])
-    slowdown, res = ctx.slowdown(spec.target, backend.policy)
-    ns = DEFAULT_CONFIG.cycles_to_ns(res.cycles)
+    metrics = ctx.measure(spec.target, get_backend(None).policy)  # lightwsp-lrpo
     # Static placement footprint (ungated observability: the placement
     # minimizer's effect shows up here and in the regress diff notes).
-    stats = compile_program(
-        BENCHMARKS[spec.target].build(scale=scale),
-        CompilerConfig(), verify=False,
-    ).stats
-    return {
-        "cycles": res.cycles,
-        "slowdown": slowdown,
-        "boundaries": float(stats.boundaries),
-        "instrumentation_stores": float(stats.instrumentation_stores),
-        "instructions": float(res.instructions),
-        "throughput_minst_s": (res.instructions / ns * 1e3) if ns else 0.0,
-        "persist_entries": float(res.persist_entries),
-        "persist_bytes": float(
-            res.persist_entries * 8 * backend.policy.entry_factor
-        ),
-        "efficiency": res.persistence_efficiency,
-    }
+    stats = ctx.compiled(spec.target).stats
+    metrics["boundaries"] = float(stats.boundaries)
+    metrics["instrumentation_stores"] = float(stats.instrumentation_stores)
+    return metrics
 
 
 def _run_store_entry(
@@ -144,46 +123,14 @@ def _run_store_entry(
     }
 
 
-def _write_profile(prof: "cProfile.Profile", path: str) -> None:
-    """Persist a profile twice: the raw pstats dump next to a JSON
-    summary of the hottest functions (by cumulative time), so the
-    artifact is both loadable into ``pstats``/snakeviz and greppable."""
-    import pstats
-
-    prof.dump_stats(path)
-    stats = pstats.Stats(prof)
-    rows = []
-    for (filename, lineno, func), (cc, nc, tt, ct, _callers) in sorted(
-        stats.stats.items(), key=lambda item: -item[1][3]
-    )[:PROFILE_TOP_N]:
-        rows.append({
-            "function": "%s:%d(%s)" % (filename, lineno, func),
-            "ncalls": nc,
-            "primitive_calls": cc,
-            "tottime_s": round(tt, 6),
-            "cumtime_s": round(ct, 6),
-        })
-    summary = {
-        "kind": "repro-bench-profile",
-        "total_calls": stats.total_calls,
-        "total_time_s": round(stats.total_tt, 6),
-        "top_cumulative": rows,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def run_bench(
     entries: Optional[List[str]] = None,
     smoke: bool = False,
     seed: int = 0,
     scale: float = 0.25,
     jobs: int = 1,
-    worker_timeout: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
     trace_path: Optional[str] = None,
-    profile_path: Optional[str] = None,
 ) -> BenchReport:
     """Run the curated benchmark entries and return the report.
 
@@ -194,20 +141,13 @@ def run_bench(
     artifact (bench_start, one bench_entry per entry, bench_end) —
     note the wall_s fields there are informational, so a bench trace
     is *not* byte-reproducible across runs, unlike every other trace
-    the system writes.  ``profile_path`` wraps the measurement in
-    cProfile and writes a pstats dump there plus a ``<path>.json``
-    hot-function summary; it forces ``jobs=1`` so the work stays in
-    the profiled process."""
-    import cProfile
-
+    the system writes."""
     from ..parallel import fan_out
     from ..trace import JsonlTrace, NullTrace
 
     say = progress or (lambda msg: None)
     specs = select_specs(entries, smoke=smoke)
     sim_scale = min(scale, SMOKE_SCALE) if smoke else scale
-    if profile_path:
-        jobs = 1  # forked workers would escape the profiler
 
     # Import the measurement dependencies in the parent before forking:
     # workers inherit warm modules, so per-entry wall_s measures the
@@ -233,16 +173,8 @@ def run_bench(
         "bench_start", seed=seed, scale=sim_scale, smoke=smoke,
         jobs=max(1, jobs), entries=[spec.name for spec in specs],
     )
-    prof = cProfile.Profile() if profile_path else None
-    if prof is not None:
-        prof.enable()
     t0 = time.perf_counter()
-    measured = fan_out(
-        measure, specs, jobs=jobs, timeout=worker_timeout, label="bench"
-    )
-    if prof is not None:
-        prof.disable()
-        _write_profile(prof, profile_path)
+    measured = fan_out(measure, specs, jobs=jobs, label="bench")
     report = BenchReport(
         seed=seed, scale=sim_scale, smoke=smoke, jobs=max(1, jobs),
         entries=measured,

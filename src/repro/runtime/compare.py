@@ -2,9 +2,12 @@
 
 For each backend the driver runs
 
-* the **timing plane** — the shared engine replays the benchmark's
-  dynamic trace under the backend's policy: cycles, slowdown vs the
-  memory-mode baseline, persist-path traffic, persistence efficiency;
+* the **timing plane** — :meth:`ExperimentContext.measure
+  <repro.analysis.experiments.ExperimentContext.measure>`, the row
+  ``repro run`` and Fig. 7 report: cycles, slowdown vs the memory-mode
+  baseline, persist-path traffic, persistence efficiency.  As in Fig. 7,
+  the baselines replay the uninstrumented binary and LightWSP the
+  compiled one;
 * the **functional plane** — the benchmark executes on a
   :class:`~repro.core.machine.PersistentMachine` with the backend's
   runtime, power is cut mid-region, recovery runs, and the final
@@ -37,18 +40,16 @@ class CompareRow:
     """One backend's line in the comparison table."""
 
     backend: str
-    # timing plane
+    # timing plane (ExperimentContext.measure)
     cycles: float = 0.0
     slowdown: float = 0.0            # vs memory-mode
+    instructions: float = 0.0
     throughput_minst_s: float = 0.0
-    persist_entries: int = 0
-    persist_bytes: int = 0
+    persist_entries: float = 0.0
+    persist_bytes: float = 0.0
     efficiency: float = 100.0        # Eq. 1
     # functional plane (mid-region crash probe)
     crash_step: int = 0
-    flushed: int = 0
-    undone: int = 0
-    discarded: int = 0
     recovery: str = "n/a"
     recovered: bool = False
 
@@ -74,44 +75,6 @@ class CompareReport:
         )
 
 
-def _timing_row(
-    events, baseline: float, backend: PersistBackend, config: SystemConfig
-) -> CompareRow:
-    from ..sim.engine import simulate
-
-    res = simulate(events, config, backend.policy)
-    ns = config.cycles_to_ns(res.cycles)
-    return CompareRow(
-        backend=backend.name,
-        cycles=res.cycles,
-        slowdown=(res.cycles / baseline) if baseline else 0.0,
-        throughput_minst_s=(res.instructions / ns * 1e3) if ns else 0.0,
-        persist_entries=res.persist_entries,
-        persist_bytes=res.persist_entries * 8 * backend.policy.entry_factor,
-        efficiency=res.persistence_efficiency,
-    )
-
-
-def _crash_point(compiled, config: SystemConfig) -> int:
-    """A mid-region instant: one step past a mid-run boundary, where the
-    previous region's durability is still in flight under LRPO and the
-    next region has begun."""
-    from ..core.machine import PersistentMachine
-    from ..trace import EK
-
-    probe = PersistentMachine(compiled, config=config)
-    boundaries: List[int] = []
-    while True:
-        event = probe.step()
-        if event is None:
-            break
-        if event.kind == EK.BOUNDARY:
-            boundaries.append(probe.stats.steps)
-    if not boundaries:
-        return max(1, probe.stats.steps // 2)
-    return boundaries[len(boundaries) // 2] + 1
-
-
 def _probe_recovery(
     compiled,
     backend: PersistBackend,
@@ -131,10 +94,7 @@ def _probe_recovery(
             row.recovery = "n/a (program finished before probe)"
             row.recovered = True
             return
-        report = machine.crash()
-        row.flushed = report["flushed"]
-        row.undone = report["undone"]
-        row.discarded = report["discarded"]
+        machine.crash()
         if not machine.run():
             row.recovery = "FAILED (did not finish after recovery)"
             return
@@ -160,21 +120,16 @@ def compare_backends(
     config: SystemConfig = DEFAULT_CONFIG,
     smoke: bool = False,
     jobs: int = 1,
-    worker_timeout: Optional[float] = None,
 ) -> CompareReport:
     """Run the cross-backend comparison; see the module docstring.
 
-    Backends are independent once the compiled program, the shared
-    dynamic trace, the memory-mode baseline, and the crash point are
-    fixed (all computed once, up front), so ``jobs > 1`` runs one
-    backend per worker; rows come back in backend order and are
-    identical to the serial run."""
-    from ..analysis.experiments import trace_of
-    from ..compiler.pipeline import compile_program
+    Backends are independent once the compiled program, both dynamic
+    traces and the crash point are fixed (all computed once, up front),
+    so ``jobs > 1`` runs one backend per worker; rows come back in
+    backend order and are identical to the serial run."""
+    from ..analysis.experiments import ExperimentContext
+    from ..core.failure import boundary_steps
     from ..parallel import fan_out
-    from ..sim.engine import simulate
-    from ..workloads import BENCHMARKS
-    from .backends import MEMORY_MODE
 
     if smoke:
         scale = min(scale, SMOKE_SCALE)
@@ -182,25 +137,32 @@ def compare_backends(
         get_backend(b)
         for b in (backends if backends else sorted(BACKENDS))
     ]
-    bench = BENCHMARKS[benchmark]
-    if bench.threads != 1:
+    ctx = ExperimentContext(scale=scale, config=config, benchmarks=[benchmark])
+    if ctx.benchmarks()[0].threads != 1:
         raise ValueError(
             "compare needs a single-threaded benchmark (got %r)" % benchmark
         )
-    compiled = compile_program(bench.build(scale=scale), config.compiler)
-    events = trace_of(compiled.program)
-    baseline = simulate(events, config, MEMORY_MODE).cycles
-    crash_step = _crash_point(compiled, config)
+    # fill both trace caches here, so forked workers inherit them
+    ctx.baseline_trace(benchmark)
+    ctx.compiled_trace(benchmark)
+    compiled = ctx.compiled(benchmark)
+    # A mid-region instant: one step past a mid-run boundary, where the
+    # previous region's durability is still in flight under LRPO and the
+    # next region has begun.
+    total, boundaries = boundary_steps(compiled, config=config)
+    crash_step = (
+        boundaries[len(boundaries) // 2] + 1 if boundaries
+        else max(1, total // 2)
+    )
 
     def backend_row(backend: PersistBackend) -> CompareRow:
-        row = _timing_row(events, baseline, backend, config)
+        row = CompareRow(
+            backend=backend.name, **ctx.measure(benchmark, backend.policy)
+        )
         _probe_recovery(compiled, backend, crash_step, config, row)
         return row
 
-    rows = fan_out(
-        backend_row, chosen, jobs=jobs, timeout=worker_timeout,
-        label="compare",
-    )
+    rows = fan_out(backend_row, chosen, jobs=jobs, label="compare")
     return CompareReport(
         benchmark=benchmark,
         scale=scale,

@@ -273,7 +273,3 @@ class CommitPipeline:
         for mc in self.mcs:
             end = max(end, mc.overflow_flush(region, now))
         return end
-
-    def persisted_through(self) -> int:
-        """Highest region id (exclusive) whose commit has been scheduled."""
-        return self.next_commit

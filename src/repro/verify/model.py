@@ -152,12 +152,6 @@ class VerifyReport:
     def warnings(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "warn"]
 
-    def by_rule(self) -> Dict[str, List[Diagnostic]]:
-        out: Dict[str, List[Diagnostic]] = {}
-        for diag in self.diagnostics:
-            out.setdefault(diag.rule, []).append(diag)
-        return out
-
     def format(self, limit: int = 20) -> str:
         head = "verify %s: %s (%d function(s), %d boundaries, %d error(s), %d warning(s))" % (
             self.program,

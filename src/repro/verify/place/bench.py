@@ -20,13 +20,13 @@ lives at ``benchmarks/results/placement_minimize.json``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from ...analysis.experiments import trace_of
-from ...compiler.pipeline import CompiledProgram, compile_program
+from ...analysis.experiments import ExperimentContext, trace_of
+from ...compiler.pipeline import compile_program
 from ...config import DEFAULT_CONFIG, CompilerConfig
 from ...runtime.backends import MEMORY_MODE
-from ...runtime.policy import SchemePolicy
 from ...sim.engine import simulate
 from ...workloads.suite import BENCHMARKS
 from .differential import trace_digest
@@ -45,16 +45,6 @@ PLACEMENT_BENCH_BENCHMARKS: Tuple[str, ...] = (
 _MAX_TRACE_STEPS = 12_000_000
 
 
-Entries = List[Tuple[str, Tuple[int, ...]]]
-
-
-def _slowdown(compiled: CompiledProgram, entries: Entries,
-              base_cycles: float, policy: SchemePolicy) -> float:
-    events = trace_of(compiled.program, entries, _MAX_TRACE_STEPS)
-    res = simulate(events, DEFAULT_CONFIG, policy)
-    return res.cycles / base_cycles
-
-
 def placement_bench(
     benchmarks: Optional[Tuple[str, ...]] = None,
     config: Optional[CompilerConfig] = None,
@@ -65,22 +55,29 @@ def placement_bench(
 
     config = config or CompilerConfig()
     policy = get_backend(None).policy  # lightwsp-lrpo
+    names = benchmarks or PLACEMENT_BENCH_BENCHMARKS
+    ctx = ExperimentContext(
+        scale=scale, config=replace(DEFAULT_CONFIG, compiler=config),
+        benchmarks=names,
+    )
     rows: List[Dict] = []
-    for name in benchmarks or PLACEMENT_BENCH_BENCHMARKS:
+    for name in names:
         bench = BENCHMARKS[name]
-        program = bench.build(scale=scale)
         entries = bench.entries()
-        base_cycles = simulate(
-            trace_of(program, entries, _MAX_TRACE_STEPS), DEFAULT_CONFIG,
-            MEMORY_MODE,
-        ).cycles
+        base_cycles = ctx.run(name, MEMORY_MODE).cycles
+        base = ctx.compiled(name)
+        slow_base = ctx.run(name, policy).cycles / base_cycles
 
-        base = compile_program(program, config, verify=False)
-        minimized = compile_program(program, config, verify=False)
+        # minimize_compiled edits its program in place, so the minimized
+        # variant is compiled and traced outside the context's cache
+        minimized = compile_program(
+            bench.build(scale=scale), config, verify=False
+        )
         mreport = minimize_compiled(minimized)
-
-        slow_base = _slowdown(base, entries, base_cycles, policy)
-        slow_min = _slowdown(minimized, entries, base_cycles, policy)
+        slow_min = simulate(
+            trace_of(minimized.program, entries, _MAX_TRACE_STEPS),
+            ctx.config, policy,
+        ).cycles / base_cycles
         digests = None
         if len(entries) == 1:
             digests = {

@@ -4,6 +4,7 @@ acceptance criterion lives here)."""
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -18,6 +19,10 @@ from repro.perf import (
 )
 
 SMOKE = [s.name for s in BENCH_SPECS if s.smoke]
+BENCH_PR9 = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "results",
+    "BENCH_pr9.json",
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +67,15 @@ class TestArtifact:
         bogus.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError, match="not a repro-bench"):
             load_report(str(bogus))
+
+    def test_smoke_metrics_equal_the_committed_artifact(self, smoke_report):
+        # every deterministic metric, exactly: the 10% gate alone would
+        # let a refactor move them
+        committed = load_report(BENCH_PR9)["entries"]
+        current = smoke_report.to_json()["entries"]
+        assert sorted(current) == sorted(committed)
+        for name, entry in current.items():
+            assert entry["metrics"] == committed[name]["metrics"], name
 
 
 class TestJobsParity:
@@ -171,3 +185,24 @@ class TestCLI:
         ])
         assert code == 2
         assert "cannot load baseline" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("payload, field", [
+        ([], "top level"),
+        ({"kind": "repro-bench", "entries": {"sim/bzip2": []}},
+         "entries.sim/bzip2"),
+        ({"kind": "repro-bench",
+          "entries": {"sim/bzip2": {"metrics": {"cycles": "x"}}}},
+         "entries.sim/bzip2.metrics.cycles"),
+    ], ids=["list", "entry-not-object", "metric-not-number"])
+    def test_malformed_baseline_exits_two(self, tmp_path, capsys,
+                                          payload, field):
+        base_path = tmp_path / "baseline.json"
+        base_path.write_text(json.dumps(payload))
+        code = main([
+            "bench", "--smoke", "--out", str(tmp_path / "x.json"),
+            "--baseline", str(base_path),
+        ])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "cannot load baseline" in out
+        assert str(base_path) in out and field in out

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.__main__ import main
+from repro.analysis import ExperimentContext
 from repro.runtime import BACKENDS, compare_backends, format_compare
+from repro.trace import count_events
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,21 @@ def test_timing_plane_is_scheme_sensitive(report):
     assert rows["memory-mode"].persist_entries == 0
 
 
+def test_timing_plane_agrees_with_repro_run(report):
+    # Fig. 7's rule: the baselines replay the uninstrumented binary and
+    # only LightWSP the compiled one, so the compiler's stores are never
+    # counted as another scheme's persist traffic
+    ctx = ExperimentContext(scale=0.01, benchmarks=["bzip2"])
+    for row in report.rows:
+        slowdown, res = ctx.slowdown("bzip2", BACKENDS[row.backend].policy)
+        assert (row.cycles, row.slowdown) == (res.cycles, slowdown), row.backend
+    uninstrumented = count_events(ctx.baseline_trace("bzip2")).persist_entries
+    assert uninstrumented == 90
+    rows = {r.backend: r for r in report.rows}
+    for name in ("capri", "ppa", "cwsp-eager"):
+        assert rows[name].persist_entries == uninstrumented, name
+
+
 def test_format_is_one_line_per_backend(report):
     text = format_compare(report)
     for name in BACKENDS:
@@ -42,3 +60,10 @@ def test_format_is_one_line_per_backend(report):
 def test_rejects_multithreaded_benchmarks():
     with pytest.raises(ValueError, match="single-threaded"):
         compare_backends(benchmark="intruder", smoke=True)
+
+
+@pytest.mark.parametrize("name", ["nope", "intruder"])
+def test_cli_bad_benchmark_exits_two(name, capsys):
+    assert main(["compare", name, "--smoke"]) == 2
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and name in out

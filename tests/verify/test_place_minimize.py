@@ -87,20 +87,6 @@ def test_minimize_drops_checkpoints_with_the_boundary():
     assert set(compiled.plans) <= live_uids
 
 
-def test_pipeline_minimize_flag():
-    program = BENCHMARKS["lbm"].build(scale=0.05)
-    plain = compile_program(program, CompilerConfig(), verify=False)
-    minimized = compile_program(
-        program, CompilerConfig(), verify=True, minimize_boundaries=True
-    )
-    assert minimized.stats.minimized_boundaries >= 1
-    assert (
-        minimized.stats.boundaries
-        == plain.stats.boundaries - minimized.stats.minimized_boundaries
-    )
-    assert plain.stats.minimized_boundaries == 0
-
-
 def test_minimize_report_json_shape():
     report = minimize_compiled(_compiled("lbm"))
     payload = report.to_json()
