@@ -122,6 +122,18 @@ class ClusterFault:
             if self.mc < 0:
                 raise ValueError("msg fault needs a target mc")
 
+    @property
+    def end(self) -> int:
+        """The epoch this fault stops holding anything back: a killed
+        replica's rejoin, a partition's end, a delayed ack's delivery."""
+        if self.kind == "kill":
+            return self.epoch + self.down_for
+        if self.kind == "partition":
+            return self.until
+        if self.kind == "delay_ack":
+            return self.epoch + self.delay
+        return self.epoch
+
     def to_json(self) -> Dict:
         data = asdict(self)
         for key, default in (

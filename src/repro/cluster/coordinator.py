@@ -1,8 +1,8 @@
 """The cluster coordinator: routing, retries, supervision, and 2PC.
 
 A :class:`ClusterSession` drives N store shards — each a full LightWSP
-machine with its own pluggable persist backend, executed as real worker
-processes through :mod:`repro.parallel` — in lock-step *epochs*:
+machine with its own pluggable persist backend, run in process through
+:func:`~repro.parallel.fan_out` — in lock-step *epochs*:
 
 1. **supervise** — tick the shard state machine; shards whose darkness
    expired rejoin (their recovery completed the interrupted batch; the
@@ -11,10 +11,12 @@ processes through :mod:`repro.parallel` — in lock-step *epochs*:
    transaction locks all its keys; FIFO per key) and get a deadline.
 3. **dispatch** — every due sub-operation is routed over the hash ring
    and batched per shard with a fencing sequence number
-   (``first_id = served``); batches execute via :func:`fan_out`, one
-   forked worker per busy shard.  The cluster chaos layer perturbs the
-   exchange: kills crash the machine mid-epoch, requests and acks drop,
-   delay, or duplicate, partitions silence a shard coordinator-side.
+   (``first_id = served``); batches execute in process via
+   :func:`fan_out`, each returning its write delta, which
+   :meth:`ClusterSession._commit` folds into the shard's image.  The
+   cluster chaos layer perturbs the exchange: kills crash the machine
+   mid-epoch, requests and acks drop, delay, or duplicate, partitions
+   silence a shard coordinator-side.
 4. **ack** — surviving acknowledgements complete sub-ops (idempotency
    tokens make duplicates no-ops), drive the 2PC decision log, and
    complete flights.
@@ -188,8 +190,8 @@ class ClusterSession:
         seed: int = 0,
         backend: Optional[str] = None,
         chaos: Sequence[ClusterFault] = (),
-        jobs: int = 1,
-        max_epochs: int = 400,
+        jobs: int = 1,  # ignored: every epoch runs in process
+        max_epochs: Optional[int] = None,
         trace: Any = None,
         replicate: bool = False,
         ship_lag: int = 1,
@@ -208,8 +210,12 @@ class ClusterSession:
             get_backend(backend), "the cluster's crash-recovery supervisor"
         )
         self.policy = RetryPolicy(seed=seed)
-        self.jobs = jobs
+        #: an explicit epoch cap; without one, only the no-progress
+        #: watchdog (``RetryPolicy.stall_window``) ends a stuck run
         self.max_epochs = max_epochs
+        #: the last epoch that issued a response, acked a sub-op, logged
+        #: a 2PC decision, or ran a reshard step
+        self._last_progress = 0
         self.trace = trace if trace is not None else NullTrace()
         # shadow keys live at key + keyspace, so the layout is sized for
         # both halves; scans are clamped to the real half by the workload
@@ -276,6 +282,9 @@ class ClusterSession:
             else:
                 self._transport.setdefault(key, []).append(fault)
         self.chaos = list(chaos)
+        #: the last epoch the chaos schedule holds anything back; the
+        #: no-progress watchdog does not count the wait for it
+        self._chaos_end = max((f.end for f in chaos), default=0)
         #: acks awaiting delivery: (deliver_epoch, shard, [(global_id, value)])
         self._held: List[Tuple[int, int, List[Tuple[int, int]]]] = []
         #: global_id -> sub-op, for ack routing (ids are never reused)
@@ -363,12 +372,24 @@ class ClusterSession:
                      "in shard order; --jobs never changes this trace",
             **extras,
         )
+        window = self.policy.stall_window
+        # waiting out the chaos schedule (a dark shard's rejoin, a
+        # partition, a late ack) or a scheduled reshard is not a stall
+        waits_until = max(self._chaos_end, self.reshard_at)
         while self.pending or self.inflight or self._reshard_active():
-            if self.epoch >= self.max_epochs:
+            if self.max_epochs is not None and self.epoch >= self.max_epochs:
                 self.violations.append(
                     "cluster did not quiesce within %d epochs "
                     "(%d pending, %d in flight)"
                     % (self.max_epochs, len(self.pending), len(self.inflight))
+                )
+                break
+            idle = self.epoch - max(self._last_progress, waits_until)
+            if idle > window:
+                self.violations.append(
+                    "cluster made no progress for %d epochs "
+                    "(%d pending, %d in flight)"
+                    % (idle, len(self.pending), len(self.inflight))
                 )
                 break
             self.step_epoch()
@@ -407,10 +428,14 @@ class ClusterSession:
         admitted = 0
         blocked: Set[int] = set()
         remaining: List[LogicalOp] = []
-        for op in self.pending:
+        pending = self.pending
+        for i, op in enumerate(pending):
+            if admitted >= self.admit_cap:
+                # nothing behind the cap can be admitted this epoch
+                remaining.extend(pending[i:])
+                break
             keys = self._lock_keys(op)
-            contended = any(k in self.locks or k in blocked for k in keys)
-            if contended or admitted >= self.admit_cap:
+            if any(k in self.locks or k in blocked for k in keys):
                 blocked.update(keys)
                 remaining.append(op)
                 continue
@@ -511,7 +536,9 @@ class ClusterSession:
                 "faults": faults,
             })
 
-        # the actual shard work: pure executors over worker processes
+        # the actual shard work: pure executors, run in process; a
+        # forked pool per epoch cost more than the batches it ran
+        # (measured in DESIGN.md, "Topology and the epoch loop")
         def unit_worker(unit: Dict[str, Any]) -> EpochResult:
             shard_id = unit["shard"]
             return self._execute(
@@ -519,7 +546,7 @@ class ClusterSession:
                 kill=unit["kill"], msg=unit["msg"],
             )
         results = fan_out(
-            unit_worker, exec_units, jobs=self.jobs, label="cluster-epoch"
+            unit_worker, exec_units, jobs=1, label="cluster-epoch"
         )
 
         completions: List[int] = []
@@ -602,7 +629,10 @@ class ClusterSession:
                 "diverge from model %r"
                 % (shard_id, e, role, first_id, result.results, want)
             )
-        state.image = result.image
+        # cleared words stay as zeros: popping them would leave deleted
+        # slots, and a dict with those misses CPython's fast copy, which
+        # the executor makes twice per call (into PM and volatile memory)
+        state.image.update(result.image)
         state.served += len(requests)
         state.epochs += 1
         state.steps += result.steps
@@ -918,6 +948,7 @@ class ClusterSession:
                 # regardless — the idle-kill path, migration edition
                 self._go_dark(target, e, kill)
             m["copied"] += len(keys)
+            self._last_progress = e
             self.counters["migrated_keys"] += len(keys)
             self.trace.emit(
                 "reshard_copy", epoch=e, new_shard=target,
@@ -976,6 +1007,7 @@ class ClusterSession:
         self.n_shards = len(self.shards)
         self._reroute(e)
         m["state"] = "done"
+        self._last_progress = e
         self.trace.emit(
             "reshard_handoff", epoch=e, new_shard=target,
             delta=len(delta), dropped=dropped, moved=len(m["moved"]),
@@ -1102,6 +1134,7 @@ class ClusterSession:
         sub = self._dispatched.get((shard_id, global_id))
         if sub is None or sub.acked:
             return []  # duplicate or superseded: the token absorbs it
+        self._last_progress = e
         sub.acked = True
         sub.value = value
         sub.gid = global_id
@@ -1135,6 +1168,7 @@ class ClusterSession:
         """Log a 2PC decision and launch its post-decision phase; the
         phase's sub-ops retry forever — the decision always drains."""
         op = flight.op
+        self._last_progress = e
         flight.decision = decision
         flight.decision_epoch = e
         flight.phase = decision
@@ -1176,6 +1210,7 @@ class ClusterSession:
         indeterminate: bool = False,
     ) -> List[int]:
         token = flight.op.token
+        self._last_progress = e
         flight.response = ClusterResponse(
             token=token, status=status, value=value, shard=shard,
             attempts=flight.total_attempts(), epoch=e,

@@ -30,9 +30,9 @@ The theorem, cluster edition:
    (its prepares live under shadow keys); and no shadow key is visible
    anywhere at quiesce — so no client-visible half-commit exists after
    any shard-kill schedule, including kills during a live migration.
-5. **Completion.**  Every admitted token carries exactly one response
-   (idempotent retries never double-complete) and nothing is left in
-   flight.
+5. **Completion.**  Every token of the workload carries exactly one
+   response (idempotent retries never double-complete, and no op is
+   lost before admission) and nothing is left in flight.
 6. **No double-serving.**  Per shard slot, the applied log's positions
    are exactly ``0..served-1``, each applied once, in order — a
    duplicated or skipped epoch (the failure live resharding and
@@ -127,16 +127,16 @@ def check_cluster(session: "ClusterSession") -> List[str]:
         e.token for e in session.applied_log if e.token >= 0
     }
 
-    # (5) completion: one response per admitted token, nothing in flight
+    # (5) completion: one response per token, nothing in flight
     if session.inflight:
         violations.append(
             "tokens still in flight at quiesce: %s"
             % sorted(session.inflight)[:6]
         )
-    admitted = applied_tokens | set(session.responses) | set(
-        session.inflight
+    tokens = applied_tokens | set(session.responses) | set(
+        session.ops_by_token
     )
-    unanswered = sorted(admitted - set(session.responses))
+    unanswered = sorted(tokens - set(session.responses))
     if unanswered:
         violations.append(
             "tokens never completed: %s" % unanswered[:6]

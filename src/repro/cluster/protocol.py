@@ -185,6 +185,18 @@ class RetryPolicy:
     deadline: int = 16          # epochs from admission to forced completion
     shard_deadline: int = 4     # epochs down before a shard is declared dead
 
+    @property
+    def stall_window(self) -> int:
+        """Epochs a session past its chaos schedule can go without
+        progress — a response issued, a sub-op acked, a 2PC decision
+        logged, or a reshard step.  An admitted op responds or reaches
+        its decision within ``deadline`` epochs; a post-decision sub-op,
+        which retries forever, is re-dispatched ``ack_timeout +
+        backoff`` epochs after its last dispatch, and a backoff (a
+        capped gap plus jitter below the cap) is under ``2 *
+        backoff_cap``.  A session idle for longer has stalled."""
+        return self.deadline + self.ack_timeout + 2 * self.backoff_cap
+
     def jitter(self, token: int, attempt: int) -> int:
         """Seeded jitter in ``[0, 2**attempt)``, capped by the backoff
         ceiling — a pure function of ``(seed, token, attempt)``."""

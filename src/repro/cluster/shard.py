@@ -9,10 +9,11 @@ machine between epochs: a shard's identity is its durable data
 epoch the executor boots a fresh machine from that image, seeds the
 request ring, runs the shared compiled store program (``epoch_base=0``;
 acknowledgement payloads are *local* indices the coordinator translates
-through the batch's ``first_id``), and returns the new image.  That
-makes :func:`execute_shard_epoch` a deterministic, picklable function of
-its arguments — exactly what lets the coordinator fan shards out over
-real worker processes with bit-identical results at any ``--jobs``.
+through the batch's ``first_id``), and returns the *write delta*: only
+the data words whose durable value the batch changed or cleared, never
+the whole image.  That makes :func:`execute_shard_epoch` a
+deterministic, picklable function of its arguments whose result costs
+what the batch wrote, with bit-identical results wherever it runs.
 
 Three robustness guards live here, at the point of application:
 
@@ -75,6 +76,8 @@ class ShardState:
     """Everything durable about one shard between epochs (parent-side)."""
 
     shard: int
+    #: durable data words; a word the shard cleared may stay as a 0,
+    #: which reads exactly like an absent word
     image: Dict[int, int] = field(default_factory=dict)
     model: StoreModel = None  # type: ignore[assignment]
     served: int = 0           # requests applied in completed epochs
@@ -83,7 +86,7 @@ class ShardState:
     crashes: int = 0
 
     def image_digest(self) -> str:
-        return image_digest(self.image)
+        return image_digest({w: v for w, v in self.image.items() if v})
 
 
 #: one shipped unit of the replication log: the epoch the batch settled,
@@ -127,6 +130,10 @@ class EpochResult:
     shard: int
     #: "ok" | "crashed" | "replay_rejected" | "fenced_rejected"
     outcome: str = "ok"
+    #: the write delta: ``{word: new value}`` for every data word
+    #: (``>= DATA_FLOOR``) whose final PM value differs from the input
+    #: image; 0 means the batch cleared the word.  Empty for a refused
+    #: batch.  The input image updated with it is the shard's new image.
     image: Dict[int, int] = field(default_factory=dict)
     #: local request indices whose acks were durable before any cut —
     #: the acknowledgements a live coordinator actually receives
@@ -160,19 +167,17 @@ def execute_shard_epoch(
     """Run one epoch of one shard.  Pure in its arguments; touches no
     global state, so it can run in a forked worker or inline with
     identical results.  ``cut`` is a power-cut event; it strikes at its
-    ``step`` unless the batch finishes first."""
+    ``step`` unless the batch finishes first.  ``image`` is only read."""
     result = EpochResult(shard=shard)
     if not fence_admits(range_fence, batch_fence):
         # promotion fence: a batch stamped with a stale (or future)
         # fencing token is split brain, refused before anything applies
         result.outcome = "fenced_rejected"
-        result.image = dict(image)
         return result
     if first_id != served:
         # sequence fence: the message layer (or a buggy driver) delivered
         # an epoch the shard is not at — refuse rather than double-apply
         result.outcome = "replay_rejected"
-        result.image = dict(image)
         return result
 
     machine = FaultyMachine(
@@ -216,6 +221,7 @@ def execute_shard_epoch(
             "shard %d: epoch at id %d did not finish within %d steps"
             % (shard, first_id, MAX_EPOCH_STEPS)
         )
+        _release(machine)
         return result
 
     all_acked = sorted({entry[3] for entry in machine.io_log})
@@ -226,12 +232,24 @@ def execute_shard_epoch(
     else:
         result.outcome = "ok"
         result.acked_local = all_acked
+    # only the ring and the words some store targeted can differ from
+    # the input image (see _HookedMemory.written)
+    pm_get = machine.pm.get
+    image_get = image.get
     result.image = {
-        w: v for w, v in machine.pm.items()
-        if w >= DATA_FLOOR and v != 0
+        w: pm_get(w, 0)
+        for w in machine.volatile.written.union(ring)
+        if w >= DATA_FLOOR and pm_get(w, 0) != image_get(w, 0)
     }
-    result.results = [
-        machine.pm.get(layout.out + i, 0) for i in range(len(batch))
-    ]
+    result.results = [pm_get(layout.out + i, 0) for i in range(len(batch))]
     result.steps = machine.stats.steps
+    _release(machine)
     return result
+
+
+def _release(machine: FaultyMachine) -> None:
+    """Drop a finished machine's word maps.  The machine is cyclic (its
+    memory and persist runtime point back at it), so without this only
+    a full collection would free them."""
+    machine.pm.clear()
+    machine.volatile.words.clear()

@@ -103,14 +103,21 @@ class MachineStats:
 
 class _HookedMemory(WordMemory):
     """Volatile memory that routes every write through the machine's
-    persistence model."""
+    persistence model.
+
+    ``written`` collects every word a store targeted.  Recovery, undo
+    rollback, torn writes and the battery drain only ever rewrite such
+    words, so it bounds the words whose PM value can have changed since
+    the machine booted (the cluster executor's write delta)."""
 
     def __init__(self, machine: "PersistentMachine") -> None:
         super().__init__()
         self._machine = machine
+        self.written: Set[int] = set()
 
     def write(self, addr: int, value: int) -> None:
         self.words[addr] = value
+        self.written.add(addr)
         buf = self._machine._store_buf
         if buf is None:
             self._machine._on_store(addr, value)
@@ -719,6 +726,7 @@ class PersistentMachine:
         new.pm = dict(self.pm)
         new.volatile = _HookedMemory(new)
         new.volatile.words = dict(self.volatile.words)
+        new.volatile.written = set(self.volatile.written)
         new.locks = LockTable()
         new.locks.owner = dict(self.locks.owner)
         new.allocator = copy.deepcopy(self.allocator)

@@ -71,6 +71,27 @@ class TestJobsParity:
         assert blobs[1] == blobs[2] == blobs[4]
         assert blobs[1], "the trace must not be empty"
 
+    def test_epochs_run_in_process_at_any_jobs(self, monkeypatch):
+        # a forked pool per epoch costs more than the epoch's batches
+        import repro.cluster.coordinator as coordinator
+        from repro.parallel import last_stats
+
+        modes = []
+        honest = coordinator.fan_out
+
+        def recording(*args, **kwargs):
+            out = honest(*args, **kwargs)
+            modes.append(last_stats().mode)
+            return out
+
+        monkeypatch.setattr(coordinator, "fan_out", recording)
+        sess = ClusterSession.build(
+            n_shards=4, keyspace=64, ops=120, seed=0, jobs=2,
+        )
+        sess.run()
+        assert not sess.violations
+        assert modes and set(modes) == {"serial"}
+
 
 class TestCampaign:
     def test_campaign_and_replay(self, tmp_path):

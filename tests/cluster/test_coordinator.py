@@ -11,6 +11,7 @@ from repro.cluster import (
     HashRing,
     check_cluster,
 )
+from repro.cluster.workload import LogicalOp
 from repro.store.layout import OP_PUT
 
 
@@ -130,6 +131,83 @@ class TestTransactions:
         # the oracle checks decision-vs-application atomicity: a commit
         # applied every key, an abort applied none, no shadow survived
         assert not sess.violations
+
+
+class TestQuiesce:
+    def test_a_run_still_making_progress_quiesces(self):
+        # the hottest zipfian key advances one op per epoch: this run
+        # takes 421 epochs, past any fixed cap of 400, yet never stalls
+        sess = ClusterSession.build(
+            n_shards=4, keyspace=16, ops=1500, seed=0, mix="crud",
+        )
+        sess.run()
+        assert not sess.violations, sess.violations[:4]
+        assert sess.epoch > 400
+        assert {r.status for r in sess.responses.values()} == {OK}
+
+    @staticmethod
+    def _txn_session(chaos_for):
+        # one cross-shard txn; ``chaos_for(shard)`` builds the chaos
+        # aimed at the shard owning its second key
+        ring = HashRing(3, vnodes=16)
+        k2 = next(k for k in range(2, 16)
+                  if ring.shard_for(k) != ring.shard_for(1))
+        return ClusterSession(
+            3, 16, [LogicalOp(token=0, kind="txn", keys=(1, k2),
+                              args=(5, 6))],
+            chaos=chaos_for(ring.shard_for(k2)),
+        )
+
+    @pytest.mark.parametrize("outage", [
+        lambda v: [ClusterFault(kind="kill", epoch=1, shard=v,
+                                down_for=40)],
+        lambda v: [ClusterFault(kind="partition", epoch=1, shard=v,
+                                until=41)],
+    ], ids=["kill", "partition"])
+    def test_a_long_scheduled_outage_is_waited_out(self, outage):
+        # the shard holding a committed 2PC sub-op is unreachable for 40
+        # epochs, longer than the stall window: the run waits for the
+        # scheduled rejoin, then the decision drains
+        sess = self._txn_session(outage)
+        sess.run()
+        assert not sess.violations, sess.violations[:4]
+        assert sess.decision_log == [(0, 0, "commit")]
+        assert sess.epoch > 41 > sess.policy.stall_window
+        assert sess.responses[0].status == OK
+
+    def test_a_genuine_stall_is_a_violation_within_the_window(
+        self, monkeypatch
+    ):
+        # shards that apply every batch and never ack, with nothing
+        # scheduled: the txn aborts at its deadline, the one progress
+        # the run makes, and the abort's sub-ops retry forever
+        import repro.cluster.coordinator as coordinator
+
+        honest = coordinator.execute_shard_epoch
+
+        def mute(*args, **kwargs):
+            result = honest(*args, **kwargs)
+            result.acked_local = []
+            return result
+
+        monkeypatch.setattr(coordinator, "execute_shard_epoch", mute)
+        sess = self._txn_session(lambda shard: [])
+        sess.run()
+        assert [d for _, _, d in sess.decision_log] == ["abort"]
+        assert sess._last_progress == sess.decision_log[0][0] > 0
+        assert any("made no progress" in v for v in sess.violations), \
+            sess.violations[:4]
+        window = sess.policy.stall_window
+        assert sess.epoch == sess._last_progress + window + 1
+
+    def test_an_explicit_cap_still_ends_the_run(self):
+        sess = ClusterSession.build(
+            n_shards=3, keyspace=16, ops=28, seed=2, max_epochs=3,
+        )
+        sess.run()
+        assert sess.epoch == 3
+        assert any("did not quiesce within 3 epochs" in v
+                   for v in sess.violations), sess.violations[:4]
 
 
 class TestOracle:

@@ -8,7 +8,7 @@ import pytest
 
 import repro.cluster.coordinator as coordinator
 from repro.cluster import ClusterFault, ClusterSession, check_cluster
-from repro.store.layout import OP_PUT
+from repro.store.layout import META_NREQ, META_WORDS, OP_PUT
 
 KILL = ClusterFault(kind="kill", epoch=2, shard=1, down_for=8)
 
@@ -122,6 +122,67 @@ class TestCorruptedResults:
             (" %s batch " % role) in v and "diverge from model" in v
             for v in corrupted_violations
         ), corrupted_violations[:4]
+
+
+def _region_words(layout, region):
+    """The durable words of one store region.  The ``out`` words and the
+    request ring (``reqs`` plus the batch length in ``meta``) are left
+    out: the next batch overwrites them, so :func:`check_cluster` cannot
+    see a dropped one.  The ``cluster_end`` image digests in the pinned
+    seed traces catch those instead."""
+    if region == "index":
+        return set(range(layout.idx_keys, layout.idx_keys + layout.capacity)) \
+            | set(range(layout.idx_ptrs, layout.idx_ptrs + layout.capacity))
+    if region == "heap":
+        return set(range(layout.heap, layout.heap + 2 * layout.half_words))
+    return {layout.meta + i for i in range(META_WORDS) if i != META_NREQ}
+
+
+class TestDroppedDeltaWord:
+    @pytest.mark.parametrize("replicate", [False, True])
+    @pytest.mark.parametrize("region", ["index", "heap", "meta"])
+    def test_oracle_sees_the_lost_write(self, region, replicate):
+        # the executor loses one word of one batch's write delta: the
+        # first batch that writes the region, whose word no later batch
+        # of this seed rewrites (a rewritten word heals before quiesce)
+        honest = coordinator.execute_shard_epoch
+        dropped = []
+
+        def lossy(*args, **kwargs):
+            result = honest(*args, **kwargs)
+            words = sorted(
+                set(result.image) & _region_words(args[2], region)
+            )
+            if words and not dropped:
+                dropped.append(words[0])
+                del result.image[words[0]]
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coordinator, "execute_shard_epoch", lossy)
+            session = ClusterSession.build(
+                n_shards=3, keyspace=16, ops=28, seed=0,
+                replicate=replicate,
+            )
+            session.run()
+        assert dropped
+        assert any(
+            "visible state diverges from its applied log" in v
+            for v in check_cluster(session)
+        ), session.violations[:4]
+
+
+class TestLostOp:
+    def test_an_op_lost_before_admission_is_flagged(self):
+        # the coordinator drops a pending op without ever admitting it:
+        # nothing applied it, nothing answered it, and it still counts
+        session = ClusterSession.build(
+            n_shards=3, keyspace=16, ops=28, seed=0,
+        )
+        lost = session.pending.pop()
+        session.run()
+        assert "tokens never completed: [%d]" % lost.token in \
+            session.violations, session.violations[:4]
 
 
 class TestOracleStillPassesHonestRuns:

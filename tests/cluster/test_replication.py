@@ -45,7 +45,8 @@ class TestExecutorFence:
             batch_fence=1, range_fence=2,
         )
         assert result.outcome == "fenced_rejected"
-        assert result.image == image
+        assert result.image == {}  # an empty write delta
+        assert image == {1000: 7}  # the caller's image is untouched
         assert result.acked_local == []
 
     def test_fence_beats_the_sequence_check(self, compiled_store):

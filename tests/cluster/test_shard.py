@@ -1,14 +1,16 @@
-"""The per-epoch shard executor: purity, the sequence fence, and
-crash-means-finish recovery."""
+"""The per-epoch shard executor: purity, the sequence fence,
+crash-means-finish recovery, and the write delta it returns."""
 
 import pytest
 
+import repro.cluster.shard as shard_mod
 from repro.cluster import execute_shard_epoch
 from repro.compiler import compile_program
 from repro.config import DEFAULT_CONFIG
 from repro.faults.model import FaultEvent
 from repro.store import StoreLayout, StoreModel, build_store_program
-from repro.store.layout import OP_GET, OP_PUT
+from repro.store.layout import OP_DELETE, OP_GET, OP_PUT
+from repro.store.server import DATA_FLOOR
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +78,12 @@ class TestCleanEpoch:
 
 class TestSequenceFence:
     def test_replayed_epoch_is_refused(self, compiled_store):
+        image = {100: 1}
         stale = run_epoch(compiled_store, served=4, first_id=0,
-                          image={100: 1})
+                          image=image)
         assert stale.outcome == "replay_rejected"
-        assert stale.image == {100: 1}  # untouched
+        assert stale.image == {}  # an empty write delta
+        assert image == {100: 1}  # the caller's image is untouched
         assert stale.acked_local == []
         assert stale.steps == 0  # refused before booting the machine
 
@@ -118,3 +122,51 @@ class TestCrashMeansFinish:
             assert result.outcome == "crashed", step
             assert not result.violations, (step, result.violations)
             assert result.image == clean.image, step
+
+
+class TestWriteDelta:
+    def test_input_plus_delta_is_the_durable_image(self, compiled_store,
+                                                   monkeypatch):
+        # capture each machine's whole durable image just before the
+        # executor releases it: the input image updated with the delta
+        # must equal it, clean or cut mid-batch, clears included
+        _, layout = compiled_store
+        durable = []
+        release = shard_mod._release
+
+        def capture(machine):
+            durable.append({
+                w: v for w, v in machine.pm.items()
+                if w >= DATA_FLOOR and v
+            })
+            release(machine)
+
+        monkeypatch.setattr(shard_mod, "_release", capture)
+        batches = [
+            batch_of(4),
+            [(OP_DELETE, 2, 0), (OP_GET, 1, 0)],
+            batch_of(3, base_key=5),
+        ]
+        model, image, served = StoreModel(layout), {}, 0
+        for batch in batches:
+            clean = run_epoch(
+                compiled_store, image=image, served=served, batch=batch,
+                first_id=served, base_model=model.copy(),
+            )
+            cut = run_epoch(
+                compiled_store, image=image, served=served, batch=batch,
+                first_id=served, base_model=model.copy(),
+                cut=FaultEvent(kind="cut", step=clean.steps // 2),
+            )
+            assert cut.outcome == "crashed" and not cut.violations
+            for result, whole in zip((clean, cut), durable[-2:]):
+                merged = dict(image)
+                merged.update(result.image)
+                assert {w: v for w, v in merged.items() if v} == whole
+            if batch[0][0] == OP_DELETE:
+                assert 0 in clean.image.values(), "a clear is a 0"
+            # as ClusterSession._commit does: cleared words stay as zeros
+            image = dict(image)
+            image.update(clean.image)
+            model.apply_all(batch)
+            served += len(batch)
