@@ -18,6 +18,10 @@ CLUSTER = os.path.join(DATA, "cluster-chaos-seed0.jsonl")
 FAILOVER = os.path.join(DATA, "cluster-failover-seed0.jsonl")
 #: one replicated session with a live reshard
 SESSION = os.path.join(DATA, "cluster-session-seed22.jsonl")
+#: one store serving run with a torn power cut on every shard
+SERVE = os.path.join(DATA, "serve-smoke-seed7-torn.jsonl")
+#: the command that regenerates SERVE (plus --trace); serve has no --jobs
+SERVE_ARGS = ["serve", "--smoke", "--seed", "7", "--crash-torn"]
 #: the command that regenerates each committed trace (plus --trace)
 SEED_TRACES = {
     CAMPAIGN: ["faults", "campaign", "--seed", "0"],
@@ -73,6 +77,23 @@ class TestSeedTraces:
         capsys.readouterr()
         with open(path, "rb") as fh, open(seed_trace, "rb") as want:
             assert fh.read() == want.read()
+
+    def test_serve_seed_trace_regenerates_byte_for_byte(
+        self, tmp_path, capsys
+    ):
+        path = str(tmp_path / "regenerated.jsonl")
+        assert main(SERVE_ARGS + ["--trace", path]) == 0
+        capsys.readouterr()
+        with open(path, "rb") as fh, open(SERVE, "rb") as want:
+            assert fh.read() == want.read()
+        records = read_trace(SERVE)
+        assert all(
+            r["schema_version"] == TRACE_SCHEMA_VERSION for r in records
+        )
+        crashes = [r for r in records if r["type"] == "server_crash"]
+        assert {r["shard"] for r in crashes} == {0, 1}
+        assert all(r["oracle_ok"] for r in crashes)
+        assert records[-1]["violations"] == 0
 
     def test_session_seed_trace_shape(self):
         records = read_trace(SESSION)
