@@ -82,6 +82,17 @@ FIGURES = {
 }
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low`` (exit 2 if not)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    parse.__name__ = "int"  # keeps argparse's "invalid int value" wording
+    return parse
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     print(format_mapping("Table I — system configuration", table1_config()))
     print()
@@ -888,16 +899,16 @@ def main(argv=None) -> int:
         "--workload", default="ycsb-a",
         help="mix name (ycsb-a/b/c/e, crud; see `list`)",
     )
-    p_serve.add_argument("--ops", type=int, default=2000)
-    p_serve.add_argument("--shards", type=int, default=2)
-    p_serve.add_argument("--keys", type=int, default=128)
-    p_serve.add_argument("--value-words", type=int, default=4)
-    p_serve.add_argument("--batch", type=int, default=64)
+    p_serve.add_argument("--ops", type=_int_at_least(0), default=2000)
+    p_serve.add_argument("--shards", type=_int_at_least(1), default=2)
+    p_serve.add_argument("--keys", type=_int_at_least(1), default=128)
+    p_serve.add_argument("--value-words", type=_int_at_least(1), default=4)
+    p_serve.add_argument("--batch", type=_int_at_least(1), default=64)
     p_serve.add_argument(
         "--dist", default="zipfian", choices=("zipfian", "uniform")
     )
     p_serve.add_argument(
-        "--crash-epoch", type=int, default=None,
+        "--crash-epoch", type=_int_at_least(0), default=None,
         help="cut power on every shard during this epoch (0-based)",
     )
     p_serve.add_argument(
@@ -1079,8 +1090,8 @@ def main(argv=None) -> int:
     csub = p_cluster.add_subparsers(dest="cluster_command", required=True)
 
     def _cluster_common(p):
-        p.add_argument("--shards", type=int, default=3)
-        p.add_argument("--keyspace", type=int, default=16)
+        p.add_argument("--shards", type=_int_at_least(1), default=3)
+        p.add_argument("--keyspace", type=_int_at_least(1), default=16)
         p.add_argument("--ops", type=int, default=36)
         p.add_argument("--mix", default="crud",
                        choices=("crud", "ycsb-a", "ycsb-b", "ycsb-c",

@@ -222,7 +222,7 @@ class ClusterSession:
         sizing = StoreLayout.sized(
             2 * keyspace, value_words=VALUE_WORDS, max_batch=MAX_BATCH
         )
-        prog, self.layout = build_store_program(sizing, epoch_base=0)
+        prog, self.layout = build_store_program(sizing)
         self.compiled = compile_program(prog, DEFAULT_CONFIG.compiler)
         self.ring = HashRing(n_shards, VNODES)
         self.shards = [

@@ -1,5 +1,7 @@
-"""The cluster's shard executor: one epoch of one store shard, as a pure
-function fit for a :mod:`repro.parallel` worker process.
+"""The store-node executor: one epoch of one store shard, as a pure
+function fit for a :mod:`repro.parallel` worker process.  It serves both
+the single-process store server (:class:`repro.store.StoreServer`) and
+the cluster's shards.
 
 Each shard is a full LightWSP store node — its own
 :class:`~repro.faults.machine.FaultyMachine` with all defenses on and
@@ -7,13 +9,13 @@ its own pluggable persist backend — but the executor holds **no** live
 machine between epochs: a shard's identity is its durable data
 (``image``, a word map) plus how many requests it has served.  Every
 epoch the executor boots a fresh machine from that image, seeds the
-request ring, runs the shared compiled store program (``epoch_base=0``;
-acknowledgement payloads are *local* indices the coordinator translates
-through the batch's ``first_id``), and returns the *write delta*: only
-the data words whose durable value the batch changed or cleared, never
-the whole image.  That makes :func:`execute_shard_epoch` a
-deterministic, picklable function of its arguments whose result costs
-what the batch wrote, with bit-identical results wherever it runs.
+request ring, runs the shared compiled store program (acknowledgement
+payloads are *local* indices the caller translates through the batch's
+``first_id``), and returns the *write delta*: only the data words whose
+durable value the batch changed or cleared, never the whole image.
+That makes :func:`execute_shard_epoch` a deterministic, picklable
+function of its arguments whose result costs what the batch wrote, with
+bit-identical results wherever it runs.
 
 Three robustness guards live here, at the point of application:
 
@@ -51,10 +53,9 @@ from ..config import DEFAULT_CONFIG, SystemConfig
 from ..faults.defenses import ALL_ON
 from ..faults.machine import FaultyMachine
 from ..faults.model import FaultEvent
-from ..store.layout import StoreLayout
+from ..store.layout import DATA_FLOOR, StoreLayout
 from ..store.oracle import StoreModel, check_recovery
 from ..store.programs import Request, request_words
-from ..store.server import DATA_FLOOR
 from ..trace import image_digest
 from .protocol import fence_admits
 
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 #: per-epoch machine step budget — a batch that exceeds it is a bug, not
-#: a slow run, and surfaces as a violation instead of a hang
+#: a slow run: the machine raises ``MachineLimitError`` instead of hanging
 MAX_EPOCH_STEPS = 8_000_000
 
 
@@ -143,7 +144,12 @@ class EpochResult:
     late_local: List[int] = field(default_factory=list)
     #: durable result word per local request index, post-epoch
     results: List[int] = field(default_factory=list)
+    #: per acked request, in local-index order: the step at which the
+    #: region holding its response committed (first commit wins)
+    ack_steps: List[int] = field(default_factory=list)
     steps: int = 0
+    commits: int = 0
+    max_wpq_occupancy: int = 0
     crash_step: int = 0
     violations: List[str] = field(default_factory=list)
 
@@ -191,6 +197,10 @@ def execute_shard_epoch(
     machine.volatile.words.update(ring)
     for event in msg_faults:
         machine.arm_msg(event)
+    commit_steps: List[Tuple[int, int]] = []
+    io_steps: List[Tuple[int, int, int]] = []
+    machine.stats.commit_steps = commit_steps
+    machine.stats.io_steps = io_steps
 
     crashed = False
     pre_acked: List[int] = []
@@ -215,14 +225,6 @@ def execute_shard_epoch(
     # resumes from its checkpoint and completes
     machine.run()
     machine.finish_messages()
-    if not machine.finished:
-        result.outcome = "crashed" if crashed else "ok"
-        result.violations.append(
-            "shard %d: epoch at id %d did not finish within %d steps"
-            % (shard, first_id, MAX_EPOCH_STEPS)
-        )
-        _release(machine)
-        return result
 
     all_acked = sorted({entry[3] for entry in machine.io_log})
     if crashed:
@@ -242,7 +244,15 @@ def execute_shard_epoch(
         if w >= DATA_FLOOR and pm_get(w, 0) != image_get(w, 0)
     }
     result.results = [pm_get(layout.out + i, 0) for i in range(len(batch))]
+    commit_at = dict(commit_steps)
+    ack_at: Dict[int, int] = {}
+    for payload, region, _ in io_steps:
+        if payload not in ack_at and region in commit_at:
+            ack_at[payload] = commit_at[region]
+    result.ack_steps = [ack_at[p] for p in sorted(ack_at)]
     result.steps = machine.stats.steps
+    result.commits = machine.stats.commits
+    result.max_wpq_occupancy = machine.stats.max_wpq_occupancy
     _release(machine)
     return result
 

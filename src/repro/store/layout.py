@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from ..compiler.ir import Program
 
 __all__ = [
+    "DATA_FLOOR",
     "StoreLayout",
     "OP_PUT",
     "OP_GET",
@@ -55,6 +56,9 @@ __all__ = [
     "checksum",
 ]
 
+#: everything below this word address is the checkpoint array
+DATA_FLOOR = Program.CHECKPOINT_WORDS_PER_CORE * Program.MAX_CONTEXTS
+
 #: request opcodes (word 0 of each request triple)
 OP_PUT = 1
 OP_GET = 2
@@ -63,7 +67,8 @@ OP_SCAN = 4
 OP_NAMES = {OP_PUT: "put", OP_GET: "get", OP_DELETE: "delete", OP_SCAN: "scan"}
 
 #: IO device id of the response "NIC" — one ``io`` per finished request,
-#: payload = the request's global id (the acknowledgement the oracle uses)
+#: payload = the request's index in its batch (the acknowledgement the
+#: oracle uses, after adding the batch's first request id)
 RESP_DEVICE = 7
 
 #: Knuth multiplicative hash constant (same as examples/persistent_kvstore)

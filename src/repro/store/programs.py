@@ -22,7 +22,7 @@ Functions emitted:
 * ``compact()``    — copy live records into the inactive half, flip.
 * ``main()``       — the request dispatcher: read each request triple,
   dispatch, store the result word, acknowledge with one ``io`` whose
-  payload is the request's global id.
+  payload is the request's index in the batch.
 
 The dispatcher reads its batch from the ``reqs``/``meta`` arrays; they
 can either be *baked* into the program as a setup block of immediate
@@ -315,10 +315,7 @@ def _emit_compact(prog: Program, lay: StoreLayout) -> None:
 
 
 def _emit_main(
-    prog: Program,
-    lay: StoreLayout,
-    baked: Optional[Sequence[Request]],
-    epoch_base: int,
+    prog: Program, lay: StoreLayout, baked: Optional[Sequence[Request]]
 ) -> None:
     fb = FunctionBuilder(prog, "main")
     if baked is not None:
@@ -369,7 +366,9 @@ def _emit_main(
     fb.br("finish")
     fb.block("finish")                # durable result, then the ack
     fb.store("r10", "r1", base=lay.out)
-    fb.add("r11", "r1", epoch_base)
+    # adds nothing, but it is one instruction per request: dropping it
+    # would shift every simulated step count and every pinned trace
+    fb.add("r11", "r1", 0)
     fb.io(RESP_DEVICE, "r11")
     fb.add("r1", "r1", 1)
     fb.br("loop")
@@ -381,7 +380,6 @@ def _emit_main(
 def build_store_program(
     lay: StoreLayout,
     baked_requests: Optional[Sequence[Request]] = None,
-    epoch_base: int = 0,
     name: str = "kvstore",
 ) -> Tuple[Program, StoreLayout]:
     """Emit the full store program.  Returns ``(program, placed_layout)``
@@ -390,9 +388,9 @@ def build_store_program(
     With ``baked_requests`` the batch is written by a setup block of
     immediate stores (a self-contained program); without it the caller
     must seed ``reqs`` and ``meta[META_NREQ]`` into the machine's images
-    (see :func:`request_words`).  ``epoch_base`` offsets the ``io``
-    acknowledgement payloads so global request ids stay unique across
-    epochs."""
+    (see :func:`request_words`).  The ``io`` acknowledgement payloads
+    are batch-local indices; a caller serving many batches adds the
+    batch's first request id."""
     prog = Program(name)
     placed = lay.place(prog)
     _emit_probe(prog, placed)
@@ -401,7 +399,7 @@ def build_store_program(
     _emit_delete(prog, placed)
     _emit_scan(prog, placed)
     _emit_compact(prog, placed)
-    _emit_main(prog, placed, baked_requests, epoch_base)
+    _emit_main(prog, placed, baked_requests)
     prog.validate()
     return prog, placed
 

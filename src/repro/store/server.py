@@ -1,21 +1,23 @@
 """The request-serving harness: shards, epochs, crashes, and stats.
 
 A :func:`run_serve` call generates a seeded workload, partitions it by
-key hash across ``shards`` independent machine instances, and serves it
-in *epochs*: each shard's next batch is seeded into a persistent request
-ring (the ``reqs``/``meta`` arrays), a fresh dispatcher program runs it
-on a :class:`~repro.faults.machine.FaultyMachine` (all defenses on, so
-acknowledgements pay the real flush-ACK latency), and the shard's durable
-image is carried into the next epoch.  One machine instruction is one
-simulated step; latencies and throughput are converted to wall time via
-the configured base CPI and clock.
+key hash across ``shards`` independent store nodes, and serves it in
+*epochs*: each shard's next batch runs through the store-node executor
+(:func:`repro.cluster.shard.execute_shard_epoch`, the one the cluster's
+shards use), which boots a :class:`~repro.faults.machine.FaultyMachine`
+from the shard's durable image (all defenses on, so acknowledgements
+pay the real flush-ACK latency), seeds the persistent request ring, and
+returns the batch's write delta; folding that delta in carries the
+image into the next epoch.  One machine instruction is one simulated
+step; latencies and throughput are converted to wall time via the
+configured base CPI and clock.
 
 A request is **acknowledged** when its response ``io`` survives in the
 durable I/O log — i.e. the region containing the ``io`` committed.  Its
-latency is the step distance from the ``io`` issuing to that region's
-commit (the WPQ quarantine + boundary broadcast + flush-ACK wait),
-collected through the opt-in ``MachineStats.commit_steps``/``io_steps``
-hooks so un-instrumented runs pay nothing.
+latency is the step count from epoch start (the batch arrives with the
+epoch) to that region's commit, collected through the
+``MachineStats.commit_steps``/``io_steps`` hooks.  Every batch's
+durable results are checked against the reference model.
 
 Kill-and-recover: with a crash scheduled, every shard's power fails at a
 seeded step inside the chosen epoch (optionally with a torn battery
@@ -32,29 +34,26 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import latency_summary
-from ..compiler.interp import precompile_dispatch
-from ..compiler.ir import Instr, Op, Program
+# seam only: benchmarks/system/tracing.py times store.server.precompile_dispatch
+from ..compiler.interp import precompile_dispatch  # noqa: F401
+from ..compiler.ir import Program
 from ..compiler.pipeline import CompiledProgram, compile_program
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..faults.defenses import ALL_ON
-from ..faults.machine import FaultyMachine
 from ..faults.model import FaultEvent
 from .layout import KNUTH, META_COMPACTIONS, META_DROPS, StoreLayout
-from .oracle import StoreModel, check_recovery, visible_state
-from .programs import Request, build_store_program, request_words
+from .oracle import StoreModel, visible_state
+# seam only: benchmarks/system/tracing.py times store.server.check_recovery
+from .oracle import check_recovery  # noqa: F401
+from .programs import Request, build_store_program
 from .workload import generate_workload
 from ..trace import JsonlTrace, NullTrace, image_digest, mix_int
 
 __all__ = [
-    "DATA_FLOOR",
     "ShardReport",
     "ServeReport",
     "StoreServer",
     "run_serve",
 ]
-
-#: everything below this word address is the checkpoint array
-DATA_FLOOR = Program.CHECKPOINT_WORDS_PER_CORE * Program.MAX_CONTEXTS
 
 
 def shard_of(key: int, shards: int) -> int:
@@ -73,11 +72,8 @@ class ShardReport:
     epochs: int = 0
     steps: int = 0
     commits: int = 0
-    boundaries: int = 0
-    max_wpq_occupancy: int = 0
     crashes: int = 0
     acked: int = 0
-    recovered_ops: int = 0       # ops re-executed after a power failure
     compactions: int = 0
     drops: int = 0
     keys_live: int = 0
@@ -149,8 +145,8 @@ class _Shard:
 
     def __init__(self, shard: int, layout: StoreLayout) -> None:
         self.shard = shard
-        self.layout = layout
         self.requests: List[Tuple[int, Request]] = []  # (global id, request)
+        #: durable data words; a word the shard cleared may stay as a 0
         self.image: Dict[int, int] = {}
         self.model = StoreModel(layout)
         self.served = 0          # requests completed in finished epochs
@@ -158,7 +154,7 @@ class _Shard:
 
 
 class StoreServer:
-    """Drives sharded epochs of the store over FaultyMachine instances."""
+    """Drives sharded epochs of the store through the store-node executor."""
 
     def __init__(
         self,
@@ -179,16 +175,14 @@ class StoreServer:
         self.seed = seed
         self.verify = verify
         self.backend = get_backend(backend)
-        # pin the absolute array addresses now; every epoch's program
-        # places the same sizing in the same order, so the bases agree
+        # pin the absolute array addresses now; the store program places
+        # the same sizing in the same order, so the bases agree
         self.layout = layout.place(Program("layout-probe"))
         self.progress = progress or (lambda msg: None)
         self.trace = trace if trace is not None else NullTrace()
         self.shards = [_Shard(i, self.layout) for i in range(n_shards)]
-        #: (template, patchable epoch_base instr) — see _compiled_for
-        self._compiled_cache: Optional[
-            Tuple[CompiledProgram, Optional[Instr]]
-        ] = None
+        #: the one program every epoch runs, compiled at the first epoch
+        self.compiled: Optional[CompiledProgram] = None
         self.violations: List[str] = []
         self.sim_ns = 0.0
         self._cycles_per_step = config.base_cpi
@@ -206,63 +200,33 @@ class StoreServer:
             shard.requests.append((len(shard.requests), request))
 
     # ------------------------------------------------------------------
-    def _fresh_compile(self, epoch_base: int) -> CompiledProgram:
-        prog, placed = build_store_program(self.layout, epoch_base=epoch_base)
-        if placed != self.layout:
-            raise RuntimeError("store layout moved between epochs")
-        return compile_program(prog, self.config.compiler, verify=self.verify)
-
-    def _compiled_for(self, epoch_base: int) -> CompiledProgram:
-        """The epoch's compiled program, one pipeline run per server.
-
-        Epochs of one layout differ only in ``epoch_base``, which
-        survives the pipeline as the immediate of the single
-        ``add r11, r1, <base>`` in main's "finish" block (the io-ack
-        payload offset).  Running the full Fig. 3 pipeline per epoch
-        costs more than executing a smoke-scale epoch, so compile once,
-        patch that immediate, and relower the dispatch tables — the
-        result is instruction-for-instruction what a fresh compile
-        produces.  If the pipeline ever stops leaving exactly one
-        matching instruction, every epoch falls back to a fresh compile.
-        """
-        cached = self._compiled_cache
-        if cached is None:
-            compiled = self._fresh_compile(epoch_base)
-            sites = [
-                ins
-                for block in compiled.program.functions["main"].blocks.values()
-                for ins in block.instrs
-                if ins.op == Op.ADD
-                and ins.dst == "r11"
-                and len(ins.srcs) == 2
-                and ins.srcs[0] == "r1"
-                and isinstance(ins.srcs[1], int)
-                and ins.srcs[1] == epoch_base
-            ]
-            self._compiled_cache = (
-                compiled, sites[0] if len(sites) == 1 else None
-            )
-            return compiled
-        compiled, site = cached
-        if site is None:
-            return self._fresh_compile(epoch_base)
-        if site.srcs[1] != epoch_base:
-            site.srcs = (site.srcs[0], epoch_base)
-            precompile_dispatch(compiled.program)
-        return compiled
-
-    # ------------------------------------------------------------------
-    def _run_epoch(
+    def _serve_epoch(
         self,
         shard: _Shard,
         batch: List[Tuple[int, Request]],
-        crash_step: Optional[int],
-        crash_event: Optional[FaultEvent],
+        cut: Optional[FaultEvent] = None,
         epoch: int = 0,
-    ) -> None:
-        lay = self.layout
+    ) -> int:
+        """Run one batch of ``shard`` through the executor and fold the
+        result into the shard; returns the epoch's simulated steps."""
+        # imported here: any repro.cluster import loads the whole package
+        from ..cluster.shard import execute_shard_epoch
+
+        if self.compiled is None:
+            prog, placed = build_store_program(self.layout)
+            if placed != self.layout:
+                raise RuntimeError("store layout moved since the probe")
+            self.compiled = compile_program(
+                prog, self.config.compiler, verify=self.verify
+            )
         first_id = batch[0][0]
-        if first_id != shard.served:
+        requests = [r for _, r in batch]
+        result = execute_shard_epoch(
+            shard.shard, self.compiled, self.layout, shard.image,
+            shard.served, requests, first_id, shard.model,
+            self.backend.name, config=self.config, cut=cut,
+        )
+        if result.outcome == "replay_rejected":
             # At-most-once guard: every epoch must start exactly where
             # the previous one ended.  A message-layer dup (or a buggy
             # driver) re-delivering an already-served epoch would
@@ -271,124 +235,79 @@ class StoreServer:
             # the model while the visible values looked fine.
             raise ReplayedEpochError(
                 "shard %d: epoch starting at id %d %s (shard has served "
-                "%d requests); refusing to re-apply"
-                % (
-                    shard.shard, first_id,
-                    "was already applied" if first_id < shard.served
-                    else "skips ahead",
+                "%d requests); refusing to re-apply" % (
+                    shard.shard, first_id, "was already applied"
+                    if first_id < shard.served else "skips ahead",
                     shard.served,
-                )
+                ))
+        self.violations.extend(result.violations)
+        report = shard.report
+        crashed = result.outcome == "crashed"
+        if crashed:
+            # the executor checked the acked-prefix theorem at the cut
+            report.crashes += 1
+            self.progress("shard %d: crash at step %d, %d/%d acked, %s" % (
+                shard.shard, result.crash_step, len(result.acked_local),
+                len(requests),
+                "oracle VIOLATION" if result.violations else "oracle ok",
+            ))
+            self.trace.emit(
+                "server_crash", epoch=epoch, shard=shard.shard,
+                step=result.crash_step, acked=len(result.acked_local),
+                requests=len(requests), oracle_ok=not result.violations,
             )
-        requests = [r for _, r in batch]
-        compiled = self._compiled_for(first_id)
-        machine = FaultyMachine(
-            compiled, config=self.config, defenses=ALL_ON,
-            max_steps=8_000_000, backend=self.backend,
-        )
-        machine.pm.update(shard.image)
-        machine.volatile.words.update(shard.image)
-        ring = request_words(lay, requests)
-        machine.pm.update(ring)
-        machine.volatile.words.update(ring)
-        machine.stats.commit_steps = []
-        machine.stats.io_steps = []
 
-        crashed = False
-        if crash_step is not None:
-            machine.run(steps=crash_step)
-            if not machine.finished:
-                crashed = True
-                steps_before = machine.stats.steps
-                machine.crash(crash_event)
-                shard.report.crashes += 1
-                acked = {entry[3] for entry in machine.io_log}
-                found = check_recovery(
-                    machine.pm, acked, shard.model, requests, first_id
-                )
-                self.violations.extend(
-                    "shard %d epoch at id %d: %s" % (shard.shard, first_id, v)
-                    for v in found
-                )
-                self.progress(
-                    "shard %d: crash at step %d, %d/%d acked, %s"
-                    % (
-                        shard.shard,
-                        steps_before,
-                        len(acked),
-                        len(requests),
-                        "oracle VIOLATION" if found else "oracle ok",
-                    )
-                )
-                self.trace.emit(
-                    "server_crash", epoch=epoch, shard=shard.shard,
-                    step=steps_before, acked=len(acked),
-                    requests=len(requests), oracle_ok=not found,
-                )
-                shard.report.recovered_ops += len(requests) - len(acked)
-        machine.run()
-        machine.finish_messages()
-        if not machine.finished:
+        # the batch ran to completion (after any crash, on restored
+        # power): the model advances by all of it and must agree with
+        # every durable result
+        want = shard.model.apply_all(requests)
+        if result.results != want:
             self.violations.append(
-                "shard %d: epoch did not finish" % shard.shard
+                "shard %d epoch at id %d: durable results %r diverge from "
+                "model %r" % (shard.shard, first_id, result.results, want)
             )
-            return
+        shard.image.update(result.image)
+        shard.served += len(requests)
 
         # client-observed latency: the batch arrives at epoch start, so a
-        # request is served once its ack's region commits — the step count
-        # from epoch start to that commit (queueing behind earlier
-        # requests, WPQ quarantine, boundary broadcast, flush-ACK wait,
-        # and — after a power failure — the whole recovery re-execution).
-        # First committed occurrence wins; re-executed ios come later.
-        commit_at = dict(machine.stats.commit_steps)
-        seen: Dict[int, float] = {}
-        for payload, region, step in machine.stats.io_steps:
-            if payload in seen or region not in commit_at:
-                continue
-            seen[payload] = self._steps_to_ns(commit_at[region])
-        epoch_lat = [ns for _, ns in sorted(seen.items())]
-        shard.report.latencies_ns.extend(epoch_lat)
-        shard.report.acked += len(seen)
-
-        # advance the reference model and the durable image
-        shard.model.apply_all(requests)
-        shard.image = {
-            w: v
-            for w, v in machine.pm.items()
-            if w >= DATA_FLOOR and v != 0
-        }
-        shard.served += len(requests)
-        shard.report.ops += len(requests)
-        shard.report.epochs += 1
-        shard.report.steps += machine.stats.steps
-        shard.report.commits += machine.stats.commits
-        shard.report.boundaries += machine.stats.boundaries
-        shard.report.max_wpq_occupancy = max(
-            shard.report.max_wpq_occupancy, machine.stats.max_wpq_occupancy
-        )
+        # request is served once its ack's region commits — queueing
+        # behind earlier requests, WPQ quarantine, boundary broadcast,
+        # flush-ACK wait, and after a power failure the whole recovery
+        # re-execution
+        epoch_lat = [self._steps_to_ns(step) for step in result.ack_steps]
+        report.latencies_ns.extend(epoch_lat)
+        report.acked += len(epoch_lat)
+        report.ops += len(requests)
+        report.epochs += 1
+        report.steps += result.steps
+        report.commits += result.commits
         summary = latency_summary(epoch_lat)
         self.trace.emit(
             "server_epoch", epoch=epoch, shard=shard.shard,
-            ops=len(requests), acked=len(seen),
-            steps=machine.stats.steps,
-            sim_ns=self._steps_to_ns(machine.stats.steps),
+            ops=len(requests), acked=len(epoch_lat),
+            steps=result.steps,
+            sim_ns=self._steps_to_ns(result.steps),
             p50=summary["p50"], p95=summary["p95"], p99=summary["p99"],
-            wpq_occupancy=machine.stats.max_wpq_occupancy,
-            commits=machine.stats.commits, crashed=crashed,
+            wpq_occupancy=result.max_wpq_occupancy,
+            commits=result.commits, crashed=crashed,
         )
         if crashed:
             # the epoch's tail re-executed; its final image must agree
             # with the model (the crash was transparent to clients)
-            visible, problems = visible_state(shard.image, lay)
-            if problems:
-                self.violations.extend(
-                    "shard %d post-recovery: %s" % (shard.shard, p)
-                    for p in problems
-                )
-            if visible != shard.model.kv:
-                self.violations.append(
-                    "shard %d post-recovery state diverged from model"
-                    % shard.shard
-                )
+            self._check_visible(shard, "post-recovery")
+        return result.steps
+
+    def _check_visible(self, shard: _Shard, when: str) -> None:
+        """The shard's durable image must walk clean and hold exactly the
+        model's key-value state."""
+        visible, problems = visible_state(shard.image, self.layout)
+        self.violations.extend(
+            "shard %d %s: %s" % (shard.shard, when, p) for p in problems
+        )
+        if visible != shard.model.kv:
+            self.violations.append(
+                "shard %d %s state diverged from model" % (shard.shard, when)
+            )
 
     # ------------------------------------------------------------------
     def serve(
@@ -420,8 +339,7 @@ class StoreServer:
                 chunk = shard.requests[epoch * batch:(epoch + 1) * batch]
                 if not chunk:
                     continue
-                step: Optional[int] = None
-                event: Optional[FaultEvent] = None
+                cut: Optional[FaultEvent] = None
                 if crash_epoch is not None and epoch == crash_epoch:
                     if crash_step is not None:
                         step = max(1, crash_step)
@@ -429,15 +347,14 @@ class StoreServer:
                         step = 1 + mix_int(
                             self.seed, crash_seed, shard.shard, epoch
                         ) % (60 * len(chunk))
-                    event = FaultEvent(
+                    cut = FaultEvent(
                         kind="cut",
                         step=step,
                         torn_index=0 if crash_torn else -1,
                     )
-                before = shard.report.steps
-                self._run_epoch(shard, chunk, step, event, epoch=epoch)
                 epoch_steps = max(
-                    epoch_steps, shard.report.steps - before
+                    epoch_steps,
+                    self._serve_epoch(shard, chunk, cut, epoch=epoch),
                 )
             self.sim_ns += self._steps_to_ns(epoch_steps)
 
@@ -450,15 +367,11 @@ class StoreServer:
             )
             shard.report.drops = shard.image.get(lay.meta + META_DROPS, 0)
             shard.report.keys_live = len(shard.model.kv)
-            shard.report.image_digest = image_digest(shard.image)
-            visible, problems = visible_state(shard.image, lay)
-            self.violations.extend(
-                "shard %d final: %s" % (shard.shard, p) for p in problems
+            # cleared words stay in the image as zeros; absent ones read 0
+            shard.report.image_digest = image_digest(
+                {w: v for w, v in shard.image.items() if v}
             )
-            if visible != shard.model.kv:
-                self.violations.append(
-                    "shard %d final state diverged from model" % shard.shard
-                )
+            self._check_visible(shard, "final")
         return [s.report for s in self.shards]
 
 

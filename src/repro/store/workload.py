@@ -110,6 +110,8 @@ def generate_workload(
         )
     if ops < 0:
         raise ValueError("ops must be non-negative")
+    if keyspace < 1:
+        raise ValueError("keyspace must be positive")
     rng = random.Random(seed)
     sampler = _KeySampler(keyspace, dist, rng)
     requests: List[Request] = []

@@ -21,7 +21,7 @@ KILL = ClusterFault(kind="kill", epoch=2, shard=1, down_for=8)
 @pytest.fixture(scope="module")
 def compiled_store():
     sizing = StoreLayout.sized(16, value_words=2, max_batch=8)
-    prog, layout = build_store_program(sizing, epoch_base=0)
+    prog, layout = build_store_program(sizing)
     return compile_program(prog, DEFAULT_CONFIG.compiler), layout
 
 

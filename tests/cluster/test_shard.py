@@ -9,14 +9,13 @@ from repro.compiler import compile_program
 from repro.config import DEFAULT_CONFIG
 from repro.faults.model import FaultEvent
 from repro.store import StoreLayout, StoreModel, build_store_program
-from repro.store.layout import OP_DELETE, OP_GET, OP_PUT
-from repro.store.server import DATA_FLOOR
+from repro.store.layout import DATA_FLOOR, OP_DELETE, OP_GET, OP_PUT
 
 
 @pytest.fixture(scope="module")
 def compiled_store():
     sizing = StoreLayout.sized(16, value_words=2, max_batch=8)
-    prog, layout = build_store_program(sizing, epoch_base=0)
+    prog, layout = build_store_program(sizing)
     return compile_program(prog, DEFAULT_CONFIG.compiler), layout
 
 

@@ -96,12 +96,12 @@ class TestReplayFence:
         server = StoreServer(1, layout, seed=0)
         shard = server.shards[0]
         batch = [(i, (OP_PUT, i + 1, 7)) for i in range(4)]
-        server._run_epoch(shard, batch, None, None)
+        server._serve_epoch(shard, batch)
         assert shard.served == 4
         # the message layer re-delivers the very same epoch: the shard's
         # at-most-once fence must refuse it instead of double-applying
         with pytest.raises(ReplayedEpochError, match="already applied"):
-            server._run_epoch(shard, batch, None, None)
+            server._serve_epoch(shard, batch)
         assert shard.served == 4
 
     def test_skipping_ahead_is_refused(self):
@@ -112,7 +112,7 @@ class TestReplayFence:
         server = StoreServer(1, layout, seed=0)
         batch = [(8 + i, (OP_PUT, i + 1, 7)) for i in range(2)]
         with pytest.raises(ReplayedEpochError, match="skips ahead"):
-            server._run_epoch(server.shards[0], batch, None, None)
+            server._serve_epoch(server.shards[0], batch)
 
 
 class TestServerInternals:

@@ -46,6 +46,12 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_workload("ycsb-a", 10, 8, dist="pareto")
 
+    def test_empty_keyspace_rejected(self):
+        # no key for the load phase or the sampler to draw
+        for dist in ("zipfian", "uniform"):
+            with pytest.raises(ValueError, match="keyspace"):
+                generate_workload("ycsb-a", 10, 0, dist=dist)
+
     def test_zipfian_skews_toward_popular_keys(self):
         from collections import Counter
 

@@ -1,5 +1,6 @@
 """Tests for the `python -m repro` CLI."""
 
+import pytest
 
 from repro.__main__ import main
 
@@ -125,6 +126,24 @@ class TestServeCLI:
         out = capsys.readouterr().out
         assert "crash" in out
         assert "acked-write oracle: PASS" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--shards", "0"],
+        ["serve", "--batch", "0"],
+        ["serve", "--keys", "0"],
+        ["serve", "--ops", "-5"],
+        ["serve", "--value-words", "0"],
+        ["serve", "--smoke", "--crash-epoch", "-1"],
+        ["cluster", "serve", "--shards", "0"],
+        ["cluster", "serve", "--keyspace", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_size_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument %s: must be at least" % argv[-2] in err
+        assert "Traceback" not in err
 
     def test_faults_list_mentions_store_targets(self, capsys):
         assert main(["faults", "list"]) == 0
