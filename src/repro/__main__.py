@@ -15,7 +15,7 @@ Commands:
                    (nonzero exit on >10% regression)
 * ``crash-sweep``— exhaustively crash-test one benchmark
 * ``cluster``    — the resilient sharded store cluster (``serve`` one
-                   chaos session, ``bench`` --jobs parity + wall time)
+                   chaos session, ``reshard`` one with a live reshard)
 * ``trace``      — the trace.v1 observability plane: ``timeline`` (the
                    run's ordered phases + durations), ``tail``
                    (live-follow a growing trace), ``verdicts``
@@ -725,34 +725,7 @@ def cmd_cluster(args) -> int:
         follower_kills=args.follower_kills if args.replicate else 0,
     )
 
-    if args.cluster_command == "bench":
-        # determinism/parity bench: same seeded chaos session at each
-        # --jobs level must produce the same digest; report wall time
-        import time
-
-        digests = {}
-        for jobs in args.jobs_levels:
-            session = ClusterSession.build(
-                n_shards=args.shards, keyspace=args.keyspace,
-                ops=args.ops, seed=args.seed, backend=args.backend,
-                mix=args.mix, chaos=chaos, jobs=jobs,
-                replicate=args.replicate, ship_lag=args.lag,
-                reshard_at=args.reshard_at,
-            )
-            t0 = time.monotonic()
-            session.run()
-            wall = time.monotonic() - t0
-            digests[jobs] = session.digest()
-            print("jobs=%d: %6.2fs  digest=%s  epochs=%d  violations=%d"
-                  % (jobs, wall, digests[jobs], session.epoch,
-                     len(session.violations)))
-        if len(set(digests.values())) == 1:
-            print("PARITY OK: digest identical at every --jobs level")
-            return 0
-        print("PARITY BROKEN: digests differ across --jobs levels")
-        return 1
-
-    # serve / reshard: one chaos session, optionally traced
+    # one chaos session, optionally traced
     trace = JsonlTrace(args.trace) if args.trace else NullTrace()
     try:
         session = ClusterSession.build(
@@ -1089,29 +1062,28 @@ def main(argv=None) -> int:
     )
     csub = p_cluster.add_subparsers(dest="cluster_command", required=True)
 
-    def _cluster_common(p):
-        p.add_argument("--shards", type=_int_at_least(1), default=3)
-        p.add_argument("--keyspace", type=_int_at_least(1), default=16)
-        p.add_argument("--ops", type=int, default=36)
-        p.add_argument("--mix", default="crud",
-                       choices=("crud", "ycsb-a", "ycsb-b", "ycsb-c",
-                                "ycsb-e"))
-        p.add_argument(
-            "--kills", type=int, default=KILLS,
-            help="shard power-cuts in the generated chaos schedule",
-        )
-        p.add_argument("--transport", type=int, default=TRANSPORT,
-                       help="message-layer faults (drop/dup/delay)")
-        p.add_argument("--partitions", type=int, default=PARTITIONS)
-        p.add_argument("--msg-faults", type=int, default=MSG_FAULTS,
-                       help="machine-level message-path faults")
-        p.add_argument("--horizon", type=int, default=24,
-                       help="last epoch chaos may land on")
-
     # serve and reshard run one session: shared session options
     session_opts = argparse.ArgumentParser(
         add_help=False, parents=[jobs_opt, seed_opt, backend_opt, trace_opt]
     )
+    session_opts.add_argument("--shards", type=_int_at_least(1), default=3)
+    session_opts.add_argument("--keyspace", type=_int_at_least(1),
+                              default=16)
+    session_opts.add_argument("--ops", type=int, default=36)
+    session_opts.add_argument("--mix", default="crud",
+                              choices=("crud", "ycsb-a", "ycsb-b", "ycsb-c",
+                                       "ycsb-e"))
+    session_opts.add_argument(
+        "--kills", type=int, default=KILLS,
+        help="shard power-cuts in the generated chaos schedule",
+    )
+    session_opts.add_argument("--transport", type=int, default=TRANSPORT,
+                              help="message-layer faults (drop/dup/delay)")
+    session_opts.add_argument("--partitions", type=int, default=PARTITIONS)
+    session_opts.add_argument("--msg-faults", type=int, default=MSG_FAULTS,
+                              help="machine-level message-path faults")
+    session_opts.add_argument("--horizon", type=int, default=24,
+                              help="last epoch chaos may land on")
     session_opts.add_argument("--txn-every", type=int, default=6,
                               help="every Nth mixed-phase PUT becomes a "
                                    "cross-shard transaction")
@@ -1120,29 +1092,15 @@ def main(argv=None) -> int:
     session_opts.add_argument("--smoke", action="store_true",
                               help="small fixed shape for CI smoke tests")
 
-    p_cserve = csub.add_parser(
+    csub.add_parser(
         "serve", parents=[session_opts, replication_opts(-1)],
         help="run one chaos session: routed ops, kills, recovery, "
              "typed degradation, oracle check",
     )
-    _cluster_common(p_cserve)
-
-    p_creshard = csub.add_parser(
+    csub.add_parser(
         "reshard", parents=[session_opts, replication_opts(3)],
         help="live resharding: a new shard joins mid-run and its key "
              "arcs migrate while clients keep being served",
-    )
-    _cluster_common(p_creshard)
-
-    p_cbench = csub.add_parser(
-        "bench", parents=[seed_opt, backend_opt, replication_opts(-1)],
-        help="--jobs parity check + wall time for one chaos session",
-    )
-    _cluster_common(p_cbench)
-    p_cbench.set_defaults(smoke=False, no_chaos=False)
-    p_cbench.add_argument(
-        "--jobs-levels", type=int, nargs="+", default=[1, 2, 4],
-        help="worker counts to compare (digest must be identical)",
     )
 
     p_trace = sub.add_parser(

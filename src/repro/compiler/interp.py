@@ -564,7 +564,7 @@ class ThreadVM:
         self.index += 1
         return TraceEvent(EK.FENCE, tid=self.tid)
 
-    def _h_boundary(self, c: Code) -> Optional[TraceEvent]:
+    def _h_boundary(self, c: Code) -> TraceEvent:
         self.steps += 1
         instr: Instr = c[1]
         slot = Program.pc_slot(self.tid)
@@ -577,7 +577,7 @@ class ThreadVM:
             boundary_uid=instr.uid,
         )
 
-    def _h_io(self, c: Code) -> Optional[TraceEvent]:
+    def _h_io(self, c: Code) -> TraceEvent:
         self.steps += 1
         instr: Instr = c[1]
         payload = self._value(instr.srcs[0]) if instr.srcs else 0

@@ -333,9 +333,9 @@ class PersistentMachine:
         threads have halted.
 
         This is the single-step semantics reference (and the only path
-        that surfaces every TraceEvent); :meth:`run_quantum` batches the
-        uneventful stretches and falls back to this for anything
-        machine-visible."""
+        that surfaces every TraceEvent); :meth:`run` batches the
+        uneventful stretches and falls back to this for LOCK,
+        ATOMIC_RMW and FENCE."""
         n = len(self.vms)
         for _ in range(2 * n):
             tid = self._turn % n
@@ -411,111 +411,61 @@ class PersistentMachine:
         if occupancy > self.stats.max_wpq_occupancy:
             self.stats.max_wpq_occupancy = occupancy
 
-    def run_quantum(self, limit: Optional[int] = None) -> Optional[int]:
-        """Execute the scheduled thread's quantum (or up to ``limit``
-        instructions) in one batched inner loop; returns the number of
-        instructions retired, or ``None`` when all threads have halted.
+    def run(self, steps: Optional[int] = None) -> bool:
+        """Execute up to ``steps`` instructions (or to completion).
+        Returns True when the program has finished.
 
-        The batch runs through :meth:`ThreadVM.run_fast` and is capped so
-        it never crosses a point where the machine must intervene: the
-        round-robin rotation (``steps % quantum == 0``), ``max_steps``,
-        a subclass cap (:meth:`_quantum_cap`), or any machine-visible
-        instruction (LOCK / ATOMIC_RMW / FENCE / BOUNDARY / IO), which
-        falls back to the classic :meth:`step`.  Byte-for-bit equivalent
-        to single-stepping — the parity suite pins this."""
-        n = len(self.vms)
-        budget = limit if limit is not None else self.quantum
-        if n == 1:
-            return self._run_quantum_single(budget)
-        for _ in range(2 * n):
-            tid = self._turn % n
-            vm = self.vms[tid]
-            if vm.halted:
-                self._turn += 1
-                continue
-            self._stepping_tid = tid
-            cap = self.quantum - self.stats.steps % self.quantum
-            if cap > budget:
-                cap = budget
-            remaining = self.max_steps - self.stats.steps
+        The one batching loop, for any thread count.  Each batch runs
+        the scheduled thread (picked with :meth:`step`'s rotation)
+        through :meth:`ThreadVM.run_fast` with bulk store admission,
+        capped so it never crosses a point where the machine must
+        intervene: ``max_steps``, a subclass deadline
+        (:meth:`_quantum_cap`), the next round-robin rotation point
+        (with several threads), or a machine-visible instruction.  A
+        paused BOUNDARY or IO retires inline; LOCK / ATOMIC_RMW / FENCE
+        go through :meth:`step`, which owns sync refreshes,
+        blocked-thread rotation and deadlock detection.  ``_turn``
+        advances arithmetically: the classic path bumps it once per
+        ``steps % quantum == 0`` crossing, which over a batch is
+        ``(after // q) - (before // q)`` increments.  Byte-for-bit
+        equivalent to single-stepping — the parity suite pins this."""
+        stats = self.stats
+        vms = self.vms
+        n = len(vms)
+        rotate = n > 1
+        q = self.quantum
+        max_steps = self.max_steps
+        remaining = steps if steps is not None else max_steps
+        tid = 0
+        vm = vms[0]
+        run_fast = vm.run_fast
+        while remaining > 0:
+            if rotate or vm.halted:
+                # the classic scan: rotate past halted threads; after 2n
+                # visits with none live, the program has finished
+                for _ in range(2 * n):
+                    tid = self._turn % n
+                    vm = vms[tid]
+                    if not vm.halted:
+                        break
+                    self._turn += 1
+                else:
+                    return True
+                self._stepping_tid = tid
+                run_fast = vm.run_fast
+            cap = max_steps - stats.steps
             if cap > remaining:
                 cap = remaining
-            hook_cap = self._quantum_cap()
-            if hook_cap is not None and cap > hook_cap:
-                cap = hook_cap
+            if rotate and cap > q - stats.steps % q:
+                cap = q - stats.steps % q
+            deadline = self._quantum_cap()
+            if deadline is not None and cap > deadline:
+                cap = deadline
             if cap < 1:
                 # a subclass deadline is due (or max_steps is exhausted):
                 # advance one instruction, then re-check machine state
                 cap = 1
-            # bulk admission is skipped when _on_store was replaced on
-            # the instance (test spies interpose on the per-store path)
-            if (
-                cap > 1
-                and "_on_store" not in self.__dict__
-                and self._bulk_admit_ok()
-            ):
-                buf: List[Tuple[int, int]] = []
-                self._store_buf = buf
-                try:
-                    retired, why = vm.run_fast(cap)
-                finally:
-                    self._store_buf = None
-                    if buf:
-                        self._flush_stores(tid, buf)
-            else:
-                retired, why = vm.run_fast(cap)
-            if retired:
-                self.stats.steps += retired
-                if self.stats.steps % self.quantum == 0:
-                    self._turn += 1
-                if why == "halt":
-                    self._thread_halted(tid)
-                self._after_batch()
-                return retired
-            # current instruction is machine-visible or a blocked lock:
-            # the classic path owns sync refreshes, event dispatch,
-            # blocked-thread rotation, and deadlock detection
-            event = self.step()
-            return None if event is None else 1
-        if all(vm.halted for vm in self.vms):
-            return None
-        raise DeadlockError(
-            "all live threads blocked on locks: deadlock",
-            steps=self.stats.steps,
-        )
-
-    def _run_quantum_single(self, budget: int) -> Optional[int]:
-        """Single-thread batching: with one VM there is no round-robin
-        fairness point, so batches run visible-event to visible-event
-        and the loop stays here instead of bouncing through :meth:`run`
-        per batch.  ``_turn`` is advanced arithmetically — the classic
-        path bumps it once per ``steps %% quantum == 0`` crossing, which
-        over a batch is ``(after // q) - (before // q)`` increments —
-        keeping it bit-identical for the parity suite."""
-        vm = self.vms[0]
-        if vm.halted:
-            # the classic scan visits the halted VM 2n times (n == 1),
-            # rotating past it each visit, before reporting completion
-            self._turn += 2
-            return None
-        self._stepping_tid = 0
-        stats = self.stats
-        q = self.quantum
-        max_steps = self.max_steps
-        buffered = "_on_store" not in self.__dict__
-        run_fast = vm.run_fast
-        total = 0
-        while total < budget:
-            cap = budget - total
-            remaining = max_steps - stats.steps
-            if cap > remaining:
-                cap = remaining
-            hook_cap = self._quantum_cap()
-            if hook_cap is not None and cap > hook_cap:
-                cap = hook_cap
-            if cap < 1:
-                cap = 1
-            if cap > 1 and buffered and self._bulk_admit_ok():
+            if cap > 1 and self._bulk_admit_ok():
                 buf: List[Tuple[int, int]] = []
                 self._store_buf = buf
                 try:
@@ -523,7 +473,7 @@ class PersistentMachine:
                 finally:
                     self._store_buf = None
                     if buf:
-                        self._flush_stores(0, buf)
+                        self._flush_stores(tid, buf)
             else:
                 retired, why = run_fast(cap)
             if retired:
@@ -531,82 +481,55 @@ class PersistentMachine:
                 after = before + retired
                 stats.steps = after
                 self._turn += after // q - before // q
+                remaining -= retired
                 if why == "halt":
-                    self._thread_halted(0)
+                    self._thread_halted(tid)
                 self._after_batch()
-                total += retired
-                if why == "halt" or after >= max_steps:
-                    break
-                if total >= budget:
-                    break
-                if why == "limit":
-                    # the cap (not a visible instruction) ended the
-                    # batch: recompute caps and keep batching
+                if after >= max_steps:
+                    raise MachineLimitError(
+                        "machine exceeded max_steps",
+                        steps=after,
+                        limit=max_steps,
+                    )
+                if why != "pause" or remaining <= 0:
                     continue
-            if why != "pause":
-                # nothing visible pending: the thread is blocked on a
-                # lock (or the batch bookkeeping already broke above);
-                # the classic scan owns deadlock detection
-                event = self.step()
-                if event is None:
-                    return total if total else None
-                total += 1
-                if vm.halted or stats.steps >= max_steps:
-                    break
-                continue
             # The batch paused before a machine-visible instruction whose
             # code tuple run_fast stashed.  Boundaries and IO dominate
             # that traffic and have no sync refresh or blocking cases, so
-            # retire them here without the classic scan or a re-fetch;
-            # the per-step ACK recheck the FaultyMachine wrapper does is
-            # exactly _after_batch.  LOCK / ATOMIC_RMW / FENCE keep the
-            # classic path (sync refreshes, deadlock detection).
+            # they retire here without the classic scan or a re-fetch;
+            # _after_batch is the per-step ACK recheck.
             c = vm.paused_code
-            k = c[0] if c is not None else -1
+            assert c is not None
+            k = c[0]
             if k == C_BOUNDARY:
                 event = vm._h_boundary(c)
                 stats.steps += 1
                 if stats.steps % q == 0:
                     self._turn += 1
-                self._boundary_executed(0, event.boundary_uid)
+                self._boundary_executed(tid, event.boundary_uid)
                 self._after_batch()
             elif k == C_IO:
                 event = vm._h_io(c)
                 stats.steps += 1
                 if stats.steps % q == 0:
                     self._turn += 1
-                region = self.allocator.region_of(0)
-                self.io_log.append([0, event.lock_id, region, event.payload])
+                region = self.allocator.region_of(tid)
+                self.io_log.append([tid, event.lock_id, region, event.payload])
                 if stats.io_steps is not None:
-                    stats.io_steps.append(
-                        (event.payload, region, stats.steps)
-                    )
+                    stats.io_steps.append((event.payload, region, stats.steps))
                 self._after_batch()
             else:
-                event = self.step()
-                if event is None:
-                    return total if total else None
-            total += 1
-            if vm.halted or stats.steps >= max_steps:
-                break
-        return total
-
-    def run(self, steps: Optional[int] = None) -> bool:
-        """Execute up to ``steps`` instructions (or to completion).
-        Returns True when the program has finished."""
-        remaining = steps if steps is not None else self.max_steps
-        while remaining > 0:
-            retired = self.run_quantum(remaining)
-            if retired is None:
-                return True
-            remaining -= retired
-            if self.stats.steps >= self.max_steps:
+                # LOCK / ATOMIC_RMW / FENCE: a live thread stands at the
+                # scheduled turn, so the classic step never reports done
+                self.step()
+            remaining -= 1
+            if stats.steps >= max_steps:
                 raise MachineLimitError(
                     "machine exceeded max_steps",
-                    steps=self.stats.steps,
-                    limit=self.max_steps,
+                    steps=stats.steps,
+                    limit=max_steps,
                 )
-        return all(vm.halted for vm in self.vms)
+        return self.finished
 
     @property
     def finished(self) -> bool:

@@ -49,10 +49,6 @@ LOCK_OP_CYCLES = 6.0
 #: MMIO doorbell write, not a full block transfer
 IO_OP_CYCLES = 300.0
 
-#: below this many trace events the numpy import costs more than the
-#: vectorised scan saves; small traces use the pure-Python path
-_VECTOR_MIN_EVENTS = 4096
-
 
 def _next_nontrivial(events: List[TraceEvent]) -> List[int]:
     """For every index ``i``, the index of the first event at or after
@@ -61,25 +57,6 @@ def _next_nontrivial(events: List[TraceEvent]) -> List[int]:
     touch no shared simulator state — so the replay loop folds each such
     run into one batch instead of a heap round-trip per event."""
     n = len(events)
-    # The numpy path only pays off past a few thousand events: below
-    # that the one-time interpreter import costs more than it saves,
-    # so smoke-sized traces stay on the pure-Python scan.
-    if n >= _VECTOR_MIN_EVENTS:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None  # type: ignore[assignment]
-        if numpy is not None:
-            trivial = numpy.fromiter(
-                (ev.kind == EK.ALU or ev.kind == EK.FENCE for ev in events),
-                dtype=bool,
-                count=n,
-            )
-            stops = numpy.where(trivial, n, numpy.arange(n, dtype=numpy.int64))
-            stops = numpy.minimum.accumulate(stops[::-1])[::-1]
-            out: List[int] = stops.tolist()
-            out.append(n)
-            return out
     out = [n] * (n + 1)
     nxt = n
     for i in range(n - 1, -1, -1):

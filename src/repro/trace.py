@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
@@ -45,7 +44,6 @@ __all__ = [
     "TraceParseError",
     "TruncatedTraceError",
     "TruncatedTraceWarning",
-    "set_default_strict",
     "image_hash",
     "image_digest",
     "mix_int",
@@ -186,8 +184,8 @@ def mix_int(*parts: object) -> int:
 
 
 class TraceSchemaError(ValueError):
-    """A strict-mode :class:`JsonlTrace` was asked to emit a record that
-    violates the trace.v1 event catalogue (:mod:`repro.obs.schema`)."""
+    """A :class:`JsonlTrace` was asked to emit a record that violates
+    the trace.v1 event catalogue (:mod:`repro.obs.schema`)."""
 
 
 class TraceParseError(ValueError):
@@ -212,62 +210,33 @@ class TruncatedTraceWarning(UserWarning):
     """Lenient-mode notice that a truncated final line was dropped."""
 
 
-#: process-wide default for JsonlTrace strict validation; None defers
-#: to the REPRO_TRACE_STRICT environment variable (off when unset)
-_DEFAULT_STRICT: Optional[bool] = None
-
-
-def set_default_strict(value: Optional[bool]) -> Optional[bool]:
-    """Set the process-wide strict default for every
-    :class:`JsonlTrace` constructed without an explicit ``strict=``.
-    The test suite turns this on in ``tests/conftest.py`` so every
-    emitted record doubles as a schema regression test.  Returns the
-    previous value; ``None`` restores the environment-variable
-    default."""
-    global _DEFAULT_STRICT
-    previous = _DEFAULT_STRICT
-    _DEFAULT_STRICT = value
-    return previous
-
-
-def _strict_default() -> bool:
-    if _DEFAULT_STRICT is not None:
-        return _DEFAULT_STRICT
-    return os.environ.get("REPRO_TRACE_STRICT", "") not in ("", "0")
-
-
 class JsonlTrace:
     """Append-only JSONL writer.  One instance per recorded run.
 
     Every record is stamped with ``schema_version`` (trace.v1) so each
-    line is self-describing.  With ``strict`` (explicit, or on by
-    default via :func:`set_default_strict` / ``REPRO_TRACE_STRICT``),
-    every emit is validated against the event catalogue and a
-    violating record raises :class:`TraceSchemaError` instead of
-    poisoning the artifact."""
+    line is self-describing, and validated against the event catalogue
+    before it is written: a violating record raises
+    :class:`TraceSchemaError` instead of poisoning the artifact."""
 
-    def __init__(self, path: str, strict: Optional[bool] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self._fh = open(path, "a")
         self.lines_written = 0
-        self.strict = _strict_default() if strict is None else strict
 
     def emit(self, rectype: str, **fields) -> None:
+        from .obs.schema import validate_record  # lazy: it imports this module
+
         record = {"type": rectype}
         record.update(fields)
         record.setdefault("schema_version", TRACE_SCHEMA_VERSION)
-        if self.strict:
-            from .obs.schema import validate_record
-
-            problems = validate_record(record)
-            if problems:
-                raise TraceSchemaError(
-                    "refusing to emit a record that violates trace.v%d "
-                    "(%s): %s" % (
-                        TRACE_SCHEMA_MAJOR, self.path,
-                        "; ".join(problems),
-                    )
+        problems = validate_record(record)
+        if problems:
+            raise TraceSchemaError(
+                "refusing to emit a record that violates trace.v%d "
+                "(%s): %s" % (
+                    TRACE_SCHEMA_MAJOR, self.path, "; ".join(problems),
                 )
+            )
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
         self.lines_written += 1

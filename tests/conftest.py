@@ -4,12 +4,6 @@ the whole suite with post-compile static verification enabled: every
 regression test (see src/repro/verify).  Tests that need an unverified
 compile (e.g. ones that build deliberately broken programs) pass
 ``verify=False`` explicitly.
-
-The suite also runs with strict trace.v1 validation on: every record
-any test emits through :class:`repro.trace.JsonlTrace` is checked
-against the event catalogue (src/repro/obs/schema.py), so every test
-doubles as a schema regression test.  Tests that deliberately emit
-off-catalogue records pass ``strict=False`` explicitly.
 """
 
 import os
@@ -27,12 +21,3 @@ def _verify_compiles():
     set_default_verify(True)
     yield
     set_default_verify(None)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _strict_traces():
-    from repro.trace import set_default_strict
-
-    set_default_strict(True)
-    yield
-    set_default_strict(None)

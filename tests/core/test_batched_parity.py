@@ -1,20 +1,22 @@
 """Byte-for-bit parity of the batched execution core.
 
-The batched quantum path (``PersistentMachine.run_quantum`` driving
-``ThreadVM.run_fast`` with bulk store admission) must be observationally
+The batching loop (``PersistentMachine.run`` driving ``ThreadVM.run_fast``
+with bulk store admission, for any thread count) must be observationally
 identical to the classic per-instruction ``step()`` loop — same final PM
 and volatile images, same I/O log, same stats (including the high-water
 WPQ occupancy and the opt-in commit/IO step hooks), same thread
 positions and register files.  This sweep is the soundness argument for
 keeping two loops: it pins the equivalence across ≥50 random programs,
 every quantum size in {1, 3, default}, gated and eager backends, the
-tiny-WPQ overflow path, and mid-run power failures on the fault machine.
+tiny-WPQ overflow path, and mid-run power failures on the fault machine
+with one thread and with several.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.compiler import FunctionBuilder, Program
 from repro.compiler.pipeline import compile_program
 from repro.config import DEFAULT_CONFIG
 from repro.core.machine import PersistentMachine
@@ -75,6 +77,47 @@ def assert_same_state(batched, classic):
         assert len(bvm.frames) == len(cvm.frames)
 
 
+def io_after_call_program(k):
+    """``main`` calls an empty leaf, runs ``k`` ALU instructions, then
+    performs one IO.  The call's boundaries leave a flush-ACK maturing a
+    few steps later, so sweeping ``k`` lands the IO on the ACK deadline
+    (``k`` = 1), where only the per-step ACK recheck after the IO
+    commits the region on time.  (After a BOUNDARY, the commit attempt
+    every boundary makes would hide a missing recheck; after an IO
+    nothing does.)"""
+    prog = Program("io_after_call")
+    leaf = FunctionBuilder(prog, "leaf")
+    leaf.block("entry")
+    leaf.ret()
+    leaf.build()
+    fb = FunctionBuilder(prog, "main")
+    fb.block("entry")
+    fb.call("leaf")
+    for _ in range(k):
+        fb.add("r1", "r1", 1)
+    fb.io(1, "r1")
+    fb.ret()
+    fb.build()
+    return prog
+
+
+def check_faulty_parity(compiled, crash_at=None, **kwargs):
+    """Batched vs classic on :class:`FaultyMachine`, optionally with a
+    power failure after ``crash_at`` steps and a resumed run."""
+    batched = make_machine(compiled, cls=FaultyMachine, **kwargs)
+    classic = make_machine(compiled, cls=FaultyMachine, **kwargs)
+    if crash_at is not None:
+        batched.run(steps=crash_at)
+        run_classic(classic, steps=crash_at)
+        assert_same_state(batched, classic)
+        if batched.finished:
+            return
+        batched.crash()
+        classic.crash()
+    assert batched.run() == run_classic(classic)
+    assert_same_state(batched, classic)
+
+
 def check_parity(compiled, entries=None, quantum=16, config=DEFAULT_CONFIG,
                  backend=None):
     kwargs = {"quantum": quantum, "config": config, "backend": backend}
@@ -132,39 +175,53 @@ class TestMultiThreadParity:
 class TestFaultyMachineParity:
     @pytest.mark.parametrize("seed", [2, 9, 21])
     def test_no_fault_run(self, seed):
-        compiled = compile_program(random_program(seed))
-        batched = make_machine(compiled, cls=FaultyMachine)
-        classic = make_machine(compiled, cls=FaultyMachine)
-        assert batched.run() == run_classic(classic)
-        assert_same_state(batched, classic)
+        check_faulty_parity(compile_program(random_program(seed)))
 
     @pytest.mark.parametrize("seed", [4, 13])
     @pytest.mark.parametrize("crash_at", [25, 90])
     def test_mid_run_crash(self, seed, crash_at):
-        compiled = compile_program(random_program(seed))
-        batched = make_machine(compiled, cls=FaultyMachine)
-        classic = make_machine(compiled, cls=FaultyMachine)
-        batched.run(steps=crash_at)
-        run_classic(classic, steps=crash_at)
-        assert_same_state(batched, classic)
-        if not batched.finished:
-            batched.crash()
-            classic.crash()
-            assert batched.run() == run_classic(classic)
-        assert_same_state(batched, classic)
+        check_faulty_parity(
+            compile_program(random_program(seed)), crash_at=crash_at
+        )
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_io_on_an_ack_deadline(self, k):
+        check_faulty_parity(compile_program(io_after_call_program(k)))
 
     @pytest.mark.parametrize("seed", [6, 15])
     def test_tiny_wpq_crash(self, seed):
-        compiled = compile_program(random_program(seed))
-        batched = make_machine(compiled, cls=FaultyMachine, config=TINY_WPQ)
-        classic = make_machine(compiled, cls=FaultyMachine, config=TINY_WPQ)
-        batched.run(steps=40)
-        run_classic(classic, steps=40)
-        if not batched.finished:
-            batched.crash()
-            classic.crash()
-            assert batched.run() == run_classic(classic)
-        assert_same_state(batched, classic)
+        check_faulty_parity(
+            compile_program(random_program(seed)), crash_at=40,
+            config=TINY_WPQ,
+        )
+
+
+class TestMultiThreadFaultyParity:
+    """The ACK deadline cap and recheck under round-robin rotation."""
+
+    @pytest.mark.parametrize("quantum", [1, 3, 16])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_no_fault_run(self, seed, quantum):
+        prog, entries = random_mt_program(seed, n_threads=3)
+        check_faulty_parity(
+            compile_program(prog), entries=entries, quantum=quantum
+        )
+
+    @pytest.mark.parametrize("quantum", [1, 3, 16])
+    @pytest.mark.parametrize("crash_at", [30, 120])
+    def test_mid_run_crash(self, crash_at, quantum):
+        prog, entries = random_mt_program(8, n_threads=2)
+        check_faulty_parity(
+            compile_program(prog), crash_at=crash_at, entries=entries,
+            quantum=quantum,
+        )
+
+    def test_tiny_wpq_crash(self):
+        prog, entries = random_mt_program(3, n_threads=3)
+        check_faulty_parity(
+            compile_program(prog), crash_at=60, entries=entries,
+            config=TINY_WPQ,
+        )
 
 
 class TestTypedEscapes:
@@ -178,14 +235,20 @@ class TestTypedEscapes:
         # RuntimeError compatibility is part of the contract
         assert isinstance(info.value, RuntimeError)
 
-    def test_machine_limit_matches_classic_loop(self):
+    # (20, 100): the second run asks for more steps than max_steps
+    # leaves, and its batches must still stop at max_steps
+    @pytest.mark.parametrize("first, then", [(0, None), (20, 100)])
+    def test_machine_limit_matches_classic_loop(self, first, then):
         compiled = compile_program(random_program(0))
         batched = PersistentMachine(compiled, max_steps=37)
         classic = PersistentMachine(compiled, max_steps=37)
+        if first:
+            batched.run(steps=first)
+            run_classic(classic, steps=first)
         with pytest.raises(MachineLimitError):
-            batched.run()
+            batched.run(steps=then)
         with pytest.raises(MachineLimitError):
-            run_classic(classic)
+            run_classic(classic, steps=then)
         assert_same_state(batched, classic)
 
     def test_deadlock_error_is_runtime_error(self):

@@ -49,16 +49,24 @@ class TestRegionIdOrdering:
         shared_word = prog.base_of("shared")
 
         cs_regions = []
-        original = machine._on_store
+        persist = machine.persist
+        admit, admit_many = persist.admit, persist.admit_many
 
-        def spy(word, value):
+        # every store reaches the runtime through exactly one of these,
+        # tagged with its region (admit_many never calls admit)
+        def spy_admit(region, word, value):
             if word == shared_word:
-                cs_regions.append(
-                    machine.allocator.region_of(machine._stepping_tid)
-                )
-            original(word, value)
+                cs_regions.append(region)
+            return admit(region, word, value)
 
-        machine._on_store = spy
+        def spy_admit_many(region, stores):
+            cs_regions.extend(
+                region for word, _ in stores if word == shared_word
+            )
+            return admit_many(region, stores)
+
+        persist.admit = spy_admit
+        persist.admit_many = spy_admit_many
         machine.run()
         assert cs_regions == sorted(cs_regions)
         assert len(cs_regions) == 9

@@ -1,6 +1,7 @@
 """Tests for the trace.v1 event catalogue, validation, versioning, and
 the published JSON-Schema document."""
 
+import ast
 import json
 import os
 
@@ -23,11 +24,14 @@ from repro.trace import (
     JsonlTrace,
     TraceSchemaError,
     read_trace,
-    set_default_strict,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 REPO = os.path.join(os.path.dirname(__file__), "..", "..")
+SRC = os.path.join(REPO, "src", "repro")
+#: the record-type fields of a campaign ``Plane``: the kernel emits
+#: ``plane.start``, ``plane.scenario`` and ``plane.end``
+PLANE_FIELDS = ("start", "scenario", "end")
 
 
 def _valid_scenario_end():
@@ -140,10 +144,56 @@ class TestVersioning:
         assert any("unparseable" in p for p in validate_record(record))
 
 
+def _is_trace(node):
+    """``trace``, ``self.trace``, ``campaign.trace``, ..."""
+    return (isinstance(node, ast.Name) and node.id == "trace") or (
+        isinstance(node, ast.Attribute) and node.attr == "trace"
+    )
+
+
+def _emitted_record_types():
+    """Every record type ``src/`` hands to ``<trace>.emit(...)``, by an
+    AST scan: string literals, plus the types each ``Plane(...)``
+    declares.  Also returns, as ``path:line``, every emit whose type the
+    scan cannot resolve."""
+    types, unresolved = set(), []
+    for root, _, files in os.walk(SRC):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            where = os.path.relpath(path, SRC)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "Plane":
+                    values = [kw.value for kw in node.keywords
+                              if kw.arg in PLANE_FIELDS]
+                elif (isinstance(func, ast.Attribute) and func.attr == "emit"
+                      and _is_trace(func.value)):
+                    first = node.args[0] if node.args else None
+                    if (isinstance(first, ast.Attribute)
+                            and first.attr in PLANE_FIELDS):
+                        continue  # declared by a Plane(...) call
+                    values = [first]
+                else:
+                    continue
+                for value in values:
+                    if (isinstance(value, ast.Constant)
+                            and isinstance(value.value, str)):
+                        types.add(value.value)
+                    else:
+                        unresolved.append("%s:%d" % (where, node.lineno))
+    return types, unresolved
+
+
 class TestStrictEmission:
     def test_records_are_stamped(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        with JsonlTrace(path, strict=True) as trace:
+        with JsonlTrace(path) as trace:
             trace.emit("campaign_end", scenarios=0, violations=0,
                        defenses_caught=0, defenses_total=0)
         (record,) = read_trace(path)
@@ -151,43 +201,20 @@ class TestStrictEmission:
 
     def test_strict_refuses_off_catalogue_record(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        with JsonlTrace(path, strict=True) as trace:
+        with JsonlTrace(path) as trace:
             with pytest.raises(TraceSchemaError, match="trace.v1"):
                 trace.emit("campaign_end", scenarios=0)
         # the refused record never reached the artifact
         assert read_trace(path) == []
 
-    def test_lenient_writes_anything(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        with JsonlTrace(path, strict=False) as trace:
-            trace.emit("volcano_eruption", lava=True)
-        (record,) = read_trace(path)
-        assert record["type"] == "volcano_eruption"
-
-    def test_suite_default_is_strict(self, tmp_path):
-        # tests/conftest.py turns strict on for the whole suite
-        path = str(tmp_path / "t.jsonl")
-        with JsonlTrace(path) as trace:
-            with pytest.raises(TraceSchemaError):
-                trace.emit("campaign_end", scenarios=0)
-
-    def test_set_default_strict_returns_previous(self):
-        previous = set_default_strict(False)
-        try:
-            assert previous is True  # suite-wide fixture
-            assert set_default_strict(True) is False
-        finally:
-            set_default_strict(previous)
-
-    def test_env_var_default(self, tmp_path, monkeypatch):
-        previous = set_default_strict(None)  # fall through to env
-        try:
-            monkeypatch.setenv("REPRO_TRACE_STRICT", "1")
-            assert JsonlTrace(str(tmp_path / "a.jsonl")).strict
-            monkeypatch.setenv("REPRO_TRACE_STRICT", "0")
-            assert not JsonlTrace(str(tmp_path / "b.jsonl")).strict
-        finally:
-            set_default_strict(previous)
+    def test_every_emitted_record_type_is_catalogued(self):
+        # every emit is validated, so a producer that no test drives
+        # must not be able to start raising on its first real run
+        types, unresolved = _emitted_record_types()
+        assert unresolved == []
+        # the scan sees literals, both campaign planes and the machine
+        assert {"power_cut", "scenario_end", "cluster_scenario"} <= types
+        assert sorted(types - set(EVENT_SCHEMAS)) == []
 
 
 class TestCommittedArtifacts:
