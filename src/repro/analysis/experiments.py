@@ -28,7 +28,7 @@ from ..config import CXL_PRESETS, DEFAULT_CONFIG, SystemConfig, VictimPolicy
 from ..runtime.backends import CAPRI, CWSP, LIGHTWSP, MEMORY_MODE, PPA, PSP_IDEAL
 from ..runtime.policy import SchemePolicy
 from ..sim.engine import SimResult, simulate
-from ..trace import TraceEvent, count_events
+from ..trace import Trace, count_events
 from ..workloads.suite import BENCHMARKS, MEMORY_INTENSIVE, Benchmark
 from .metrics import geomean, per_suite
 from . import cacti, hwcost
@@ -66,15 +66,15 @@ def trace_of(
     program: Program,
     entries: Sequence[Tuple[str, Sequence[int]]] = (("main", ()),),
     max_steps: int = 4_000_000,
-) -> List[TraceEvent]:
+) -> Trace:
     """The dynamic trace of a program (single- or multi-thread); pass
     ``compiled.program`` for the instrumented binary."""
     if len(entries) == 1:
         fname, args = entries[0]
-        events, _ = run_single(program, fname, args=args, max_steps=max_steps)
-        return events
-    events, _ = run_threads(program, entries, max_steps=max_steps)
-    return events
+        trace, _ = run_single(program, fname, args=args, max_steps=max_steps)
+        return trace
+    trace, _ = run_threads(program, entries, max_steps=max_steps)
+    return trace
 
 
 @dataclass
@@ -127,9 +127,9 @@ class ExperimentContext:
         if unknown:
             raise KeyError("unknown benchmarks: %s" % ", ".join(unknown))
         self.names = names
-        self._base: Dict[Tuple, List[TraceEvent]] = {}
+        self._base: Dict[Tuple, Trace] = {}
         self._programs: Dict[Tuple, CompiledProgram] = {}
-        self._compiled: Dict[Tuple, List[TraceEvent]] = {}
+        self._compiled: Dict[Tuple, Trace] = {}
 
     # ------------------------------------------------------------------
     def benchmarks(self) -> List[Benchmark]:
@@ -137,7 +137,7 @@ class ExperimentContext:
 
     def baseline_trace(
         self, name: str, threads: Optional[int] = None
-    ) -> List[TraceEvent]:
+    ) -> Trace:
         bench = BENCHMARKS[name]
         key = (name, threads or bench.threads)
         if key not in self._base:
@@ -168,7 +168,7 @@ class ExperimentContext:
         name: str,
         config: Optional[SystemConfig] = None,
         threads: Optional[int] = None,
-    ) -> List[TraceEvent]:
+    ) -> Trace:
         bench = BENCHMARKS[name]
         key = (name, threads or bench.threads, (config or self.config).compiler)
         if key not in self._compiled:
@@ -195,10 +195,10 @@ class ExperimentContext:
             hardware = config.cores
         if policy.name.startswith(LIGHTWSP.name):
             # LightWSP and its ablation variants replay the compiled trace
-            events = self.compiled_trace(name, config, threads)
+            trace = self.compiled_trace(name, config, threads)
         else:
-            events = self.baseline_trace(name, threads)
-        return simulate(events, config, policy, hardware_cores=hardware)
+            trace = self.baseline_trace(name, threads)
+        return simulate(trace, config, policy, hardware_cores=hardware)
 
     def slowdown(
         self,

@@ -6,7 +6,7 @@ from .engine import SimResult, TimingEngine, simulate
 from .mc import CommitPipeline, MemoryController
 from .memory import AddressMap
 from .queues import SerialServer, SlotPool
-from ..trace import EK, TraceEvent, TraceStats, count_events
+from ..trace import EK, Trace, TraceEvent, TraceStats, count_events
 from .tracefile import dump_trace, dumps_trace, load_trace, loads_trace
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "SerialServer",
     "SlotPool",
     "EK",
+    "Trace",
     "TraceEvent",
     "TraceStats",
     "count_events",

@@ -9,8 +9,10 @@ inflation for undo logging, DRAM cache availability).  See
 
 The model is a deterministic multi-core discrete-event replay:
 
-* cores advance a cycle clock over their trace slice, paying cache
-  latencies for loads and queueing delays for persist-path back-pressure;
+* cores advance a cycle clock over their slice of the trace's columns
+  (one slice per ``tid``, or per ``tid % hardware_cores`` when threads
+  outnumber cores), paying cache latencies for loads and queueing
+  delays for persist-path back-pressure;
 * each store places ``entry_factor`` 8-byte entries on its core's persist
   path (a bandwidth-limited serial pipe) into the target MC's WPQ;
 * gated WPQs quarantine entries per region; the commit pipeline flushes
@@ -28,7 +30,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..config import SystemConfig, VictimPolicy
 from ..runtime.policy import SchemePolicy
@@ -37,7 +39,10 @@ from .cache import CacheHierarchy, HierarchyOutcome, VictimSelector
 from .mc import AckFaults, CommitPipeline, MemoryController
 from .memory import AddressMap
 from .queues import SerialServer
-from ..trace import EK, TraceEvent
+from ..trace import (
+    K_ALU, K_ATOMIC, K_BOUNDARY, K_CKPT, K_FENCE, K_HALT, K_IO, K_LOAD,
+    K_LOCK, K_STORE, K_UNLOCK, Trace, TraceEvent, as_trace,
+)
 
 __all__ = ["SimResult", "TimingEngine", "simulate"]
 
@@ -50,21 +55,29 @@ LOCK_OP_CYCLES = 6.0
 IO_OP_CYCLES = 300.0
 
 
-def _next_nontrivial(events: List[TraceEvent]) -> List[int]:
-    """For every index ``i``, the index of the first event at or after
-    ``i`` that is not ALU/FENCE (with a sentinel ``n`` entry at the end).
-    ALU and FENCE only advance the core clock by ``base_cpi`` — they
-    touch no shared simulator state — so the replay loop folds each such
-    run into one batch instead of a heap round-trip per event."""
-    n = len(events)
-    out = [n] * (n + 1)
-    nxt = n
-    for i in range(n - 1, -1, -1):
-        kind = events[i].kind
-        if kind != EK.ALU and kind != EK.FENCE:
-            nxt = i
-        out[i] = nxt
-    return out
+#: codes that place an entry on the persist path
+_STORE_CODES = frozenset({K_STORE, K_CKPT, K_ATOMIC, K_BOUNDARY})
+
+#: one core's slice of the trace: its (kind, addr, aux) columns
+Stream = Tuple[List[int], List[int], List[int]]
+
+
+def _core_streams(trace: Trace, cores: Optional[int]) -> Dict[int, Stream]:
+    """Split the trace's columns per core, in trace order: by ``tid``, or
+    by ``tid % cores`` when threads time-share ``cores`` hardware
+    contexts.  A trace on one core keeps the trace's own columns."""
+    tids = trace.tid
+    keys = tids if cores is None else [t % cores for t in tids]
+    distinct = set(keys)
+    if len(distinct) == 1:
+        return {distinct.pop(): (trace.kind, trace.addr, trace.aux)}
+    streams: Dict[int, Stream] = {key: ([], [], []) for key in distinct}
+    for key, kind, addr, aux in zip(keys, trace.kind, trace.addr, trace.aux):
+        stream = streams[key]
+        stream[0].append(kind)
+        stream[1].append(addr)
+        stream[2].append(aux)
+    return streams
 
 
 @dataclass
@@ -124,7 +137,10 @@ class SimResult:
 @dataclass
 class _Core:
     cid: int
-    events: List[TraceEvent]
+    #: this core's records: kind codes, byte addresses, aux values
+    kinds: List[int]
+    addrs: List[int]
+    auxs: List[int]
     index: int = 0
     time: float = 0.0
     region: int = -1
@@ -143,8 +159,6 @@ class _Core:
     park_reason: str = ""
     park_region: int = -1
     park_lock: int = -1
-    #: next_stop[i]: first non-ALU/FENCE event index at or after i
-    next_stop: List[int] = field(default_factory=list)
 
 
 class TimingEngine:
@@ -189,29 +203,24 @@ class TimingEngine:
         self._region_issue_time: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
-    def run(self, events: Sequence[TraceEvent]) -> SimResult:
-        by_tid: Dict[int, List[TraceEvent]] = {}
-        cores_cap = self.hardware_cores
-        for ev in events:
-            key = ev.tid if cores_cap is None else ev.tid % cores_cap
-            by_tid.setdefault(key, []).append(ev)
-        n_cores = max(1, len(by_tid))
+    def run(self, trace: Union[Trace, Iterable[TraceEvent]]) -> SimResult:
+        streams = _core_streams(as_trace(trace), self.hardware_cores)
+        n_cores = max(1, len(streams))
         self.hierarchy = CacheHierarchy(
             self.config, cores=n_cores, scale=self.cache_scale
         )
         cores = [
             _Core(
-                cid=i,
-                events=by_tid.get(tid, []),
+                i,
+                *streams[key],
                 path=SerialServer(
                     self.config.persist_entry_cycles * self.policy.entry_factor
                 ),
             )
-            for i, tid in enumerate(sorted(by_tid))
+            for i, key in enumerate(sorted(streams))
         ]
         for core in cores:
             core.region = self._alloc_region(core)
-            core.next_stop = _next_nontrivial(core.events)
 
         ready: List[Tuple[float, int]] = [(0.0, c.cid) for c in cores]
         heapq.heapify(ready)
@@ -277,20 +286,30 @@ class TimingEngine:
             # round-trip per event.  Heap entries are unique per cid, so
             # "would be popped next" is exactly (time, cid) < ready[0].
             while True:
-                # Fold the run of ALU/FENCE events in one batch: they
-                # touch no shared simulator state, so they commute with
-                # every other core's events and can never wake or park
-                # anyone.  The clock still advances by one sequential
-                # float add per event — bit-identical to stepping.
+                # Fold the ALU and FENCE records in one batch: they touch
+                # no shared simulator state, so they commute with every
+                # other core's events and can never wake or park anyone.
+                # The clock still advances by one sequential float add
+                # per event, never one ``run * base_cpi`` product: the
+                # two round differently, and the sequential sum is what
+                # stepping event by event computed.
+                kinds = core.kinds
                 index = core.index
-                stop = core.next_stop[index] if index < len(core.events) else index
-                if stop > index:
-                    t = core.time
-                    for _ in range(stop - index):
+                t = core.time
+                while index < len(kinds):
+                    kind = kinds[index]
+                    if kind == K_ALU:
+                        run = core.auxs[index]
+                    elif kind == K_FENCE:
+                        run = 1
+                    else:
+                        break
+                    for _ in range(run):
                         t += base_cpi
-                    core.time = t
-                    core.index = stop
-                    result.instructions += stop - index
+                    result.instructions += run
+                    index += 1
+                core.time = t
+                core.index = index
                 # The next event is machine-visible (or stream end):
                 # yield to any core that is earlier in global time order.
                 if ready and ready[0] < (core.time, core.cid):
@@ -315,17 +334,18 @@ class TimingEngine:
         return region
 
     def _step(self, core: _Core) -> bool:
-        """Process one trace event for ``core``.  Returns True when the
-        event may have unblocked other cores (boundary, unlock)."""
-        if core.index >= len(core.events):
+        """Process the core's next record, never an ALU or FENCE one (the
+        replay loop folds those).  Returns True when it may have
+        unblocked other cores (boundary, unlock)."""
+        index = core.index
+        if index >= len(core.kinds):
             core.done = True
             self._thread_finished(core)
             return True
-        ev = core.events[core.index]
-        kind = ev.kind
+        kind = core.kinds[index]
         woke_others = False
 
-        if kind == EK.HALT:
+        if kind == K_HALT:
             # One software thread finished: close its trailing region so
             # the commit pipeline can drain past it.  Under
             # oversubscription more threads' events may follow on this
@@ -333,55 +353,33 @@ class TimingEngine:
             core.index += 1
             self._thread_finished(core)
             core.region = self._alloc_region(core)
-            if core.index >= len(core.events):
+            if core.index >= len(core.kinds):
                 core.done = True
             return True
 
         self.result.instructions += 1
         cpi = self.config.base_cpi
 
-        if kind == EK.ALU:
-            core.time += cpi
-        elif kind == EK.FENCE:
-            core.time += cpi
-        elif kind == EK.IO:
-            core.time += cpi + IO_OP_CYCLES
-        elif kind == EK.LOCK:
-            # Under core oversubscription (Fig. 16) the merged per-core
-            # streams already encode a valid serialization of critical
-            # sections, and re-enforcing mutual exclusion against the
-            # per-core total order can fabricate cycles the real OS
-            # scheduler would never create — locks become cost-only.
-            if self.hardware_cores is None and not self._try_lock(
-                core, ev.lock_id
-            ):
-                self.result.instructions -= 1  # retried later
-                return False
-            core.time += cpi + LOCK_OP_CYCLES
-        elif kind == EK.UNLOCK:
-            if self.hardware_cores is None:
-                self._unlock(core, ev.lock_id)
-                woke_others = True
-            core.time += cpi + LOCK_OP_CYCLES
-        elif kind == EK.LOAD:
-            core.time += cpi + self._load(core, ev.addr)
+        if kind == K_LOAD:
+            core.time += cpi + self._load(core, core.addrs[index])
             self.result.loads += 1
-        elif kind in (EK.STORE, EK.CHECKPOINT, EK.ATOMIC, EK.BOUNDARY):
+        elif kind in _STORE_CODES:
+            addr = core.addrs[index]
             # Reserve the front-end slot *before* any side effect so a
             # parked store can be re-processed from scratch on wake-up.
             if self.policy.persists and not self._ensure_fe_slot(core):
                 self.result.instructions -= 1
                 return False
-            if kind == EK.ATOMIC:
-                core.time += cpi + self._load(core, ev.addr)
+            if kind == K_ATOMIC:
+                core.time += cpi + self._load(core, addr)
                 self.result.loads += 1
             else:
                 core.time += cpi
-            self._store(core, ev.addr)
+            self._store(core, addr)
             self.result.stores += 1
             core.stores_in_region += 1
             if self.policy.persists:
-                if kind == EK.BOUNDARY and not self.policy.implicit_region_stores:
+                if kind == K_BOUNDARY and not self.policy.implicit_region_stores:
                     woke_others = self._boundary(core)
                 elif (
                     self.policy.implicit_region_stores
@@ -389,8 +387,25 @@ class TimingEngine:
                     >= self.policy.implicit_region_stores
                 ):
                     woke_others = self._boundary(core, implicit=True)
-        else:
-            core.time += cpi
+        elif kind == K_IO:
+            core.time += cpi + IO_OP_CYCLES
+        elif kind == K_LOCK:
+            # Under core oversubscription (Fig. 16) the merged per-core
+            # streams already encode a valid serialization of critical
+            # sections, and re-enforcing mutual exclusion against the
+            # per-core total order can fabricate cycles the real OS
+            # scheduler would never create — locks become cost-only.
+            if self.hardware_cores is None and not self._try_lock(
+                core, core.auxs[index]
+            ):
+                self.result.instructions -= 1  # retried later
+                return False
+            core.time += cpi + LOCK_OP_CYCLES
+        elif kind == K_UNLOCK:
+            if self.hardware_cores is None:
+                self._unlock(core, core.auxs[index])
+                woke_others = True
+            core.time += cpi + LOCK_OP_CYCLES
 
         if core.parked:
             return False
@@ -696,7 +711,7 @@ class TimingEngine:
 
 
 def simulate(
-    events: Sequence[TraceEvent],
+    trace: Union[Trace, Iterable[TraceEvent]],
     config: SystemConfig,
     policy: SchemePolicy,
     cache_scale: Optional[float] = None,
@@ -705,8 +720,8 @@ def simulate(
 ) -> SimResult:
     """Convenience wrapper: run one trace under one policy (or a
     :class:`~repro.runtime.backend.PersistBackend`, whose policy is
-    used)."""
+    used).  A hand-built event list converts once to a :class:`Trace`."""
     return TimingEngine(
         config, policy, cache_scale=cache_scale,
         hardware_cores=hardware_cores, ack_faults=ack_faults,
-    ).run(events)
+    ).run(trace)

@@ -2,26 +2,11 @@
 
 import pytest
 
-from repro.compiler import FunctionBuilder, Op, Program, compile_program, run_single
+from helpers import io_program
+
+from repro.compiler import Op, compile_program, run_single
 from repro.config import CompilerConfig
 from repro.core.machine import PersistentMachine
-
-
-def io_program():
-    prog = Program("io")
-    a = prog.array("a", 8)
-    fb = FunctionBuilder(prog, "main")
-    fb.block("entry")
-    fb.const("r1", 7)
-    fb.store("r1", 0, base=a)
-    fb.io(1, "r1")         # console write of r1
-    fb.add("r1", "r1", 1)
-    fb.store("r1", 1, base=a)
-    fb.io(2)               # doorbell, no payload
-    fb.store("r1", 2, base=a)
-    fb.ret()
-    fb.build()
-    return prog
 
 
 class TestCompilerIO:

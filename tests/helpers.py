@@ -119,6 +119,25 @@ def locking_program(n_threads: int = 2, increments: int = 10) -> Program:
     return prog
 
 
+def io_program() -> Program:
+    """Two irrevocable I/O operations between stores: a console write
+    of payload 7, then a doorbell with no payload."""
+    prog = Program("io")
+    a = prog.array("a", 8)
+    fb = FunctionBuilder(prog, "main")
+    fb.block("entry")
+    fb.const("r1", 7)
+    fb.store("r1", 0, base=a)
+    fb.io(1, "r1")         # console write of r1
+    fb.add("r1", "r1", 1)
+    fb.store("r1", 1, base=a)
+    fb.io(2)               # doorbell, no payload
+    fb.store("r1", 2, base=a)
+    fb.ret()
+    fb.build()
+    return prog
+
+
 def run_data(prog: Program, func: str = "main", args: Sequence[int] = ()) -> Dict[int, int]:
     """Run to completion and return the data-memory image."""
     _, mem = run_single(prog, func, args=args)

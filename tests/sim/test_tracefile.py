@@ -1,6 +1,10 @@
 """Tests for trace serialization."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import EK, TraceEvent
 from repro.sim.tracefile import dumps_trace, loads_trace
@@ -59,3 +63,57 @@ class TestRoundTrip:
             simulate(events, config, MEMORY_MODE).cycles
             == simulate(reloaded, config, MEMORY_MODE).cycles
         )
+
+
+class TestIOPayloads:
+    def test_io_payload_round_trips(self):
+        events = [TraceEvent(EK.IO, lock_id=1, payload=7)]
+        assert dumps_trace(events).strip() == "io,l=1,p=7"
+        assert loads_trace(dumps_trace(events)) == events
+
+    def test_compiled_io_program_round_trips(self):
+        from helpers import io_program
+        from repro.compiler import compile_program, run_single
+
+        events, _ = run_single(compile_program(io_program()).program)
+        assert [e.payload for e in events if e.kind == EK.IO] == [7, 0]
+        reloaded = loads_trace(dumps_trace(events))
+        assert reloaded == events
+        assert dumps_trace(reloaded) == dumps_trace(events)
+
+
+class TestBadLines:
+    def test_non_integer_value_names_the_line(self):
+        with pytest.raises(ValueError, match=r"line 2: bad field 'a=x'"):
+            loads_trace("alu\nload,a=x\n")
+
+    def test_field_the_kind_does_not_carry(self):
+        # an ALU record keeps no address and a LOAD no lock id, so
+        # accepting them would load a trace that dumps differently
+        with pytest.raises(ValueError, match="line 1: bad field 'a=8'"):
+            loads_trace("alu,a=8\n")
+        with pytest.raises(ValueError, match="line 1: bad field 'l=3'"):
+            loads_trace("load,l=3\n")
+
+    def test_loaded_trace_is_a_trace(self):
+        from repro.trace import Trace
+
+        trace = loads_trace("alu\nalu,t=1\nstore,a=8,t=1\nhalt,t=1\n")
+        assert isinstance(trace, Trace)
+        assert len(trace) == 4
+        assert trace[-1] == TraceEvent(EK.HALT, tid=1)
+
+
+_LINE_ALPHABET = "alustorebdryckptfenchaioknm,=-0123456789xp \t#\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_LINE_ALPHABET, max_size=80) | st.text(max_size=40))
+def test_arbitrary_text_loads_or_names_a_line(text):
+    try:
+        trace = loads_trace(text)
+    except ValueError as exc:
+        assert re.match(r"line \d+: ", str(exc)), str(exc)
+        return
+    # whatever loads dumps to lines that load back to the same trace
+    assert loads_trace(dumps_trace(trace)) == trace
