@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Dict, List, Sequence
 
@@ -150,3 +151,15 @@ def write_trace(records: List[Dict], path: str) -> str:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return path
+
+
+def nonzero_fields(result) -> Dict[str, object]:
+    """Every non-zero field of a ``SimResult`` except the scheme name,
+    floats by ``repr``, so a pinned replay compares to the last bit."""
+    out: Dict[str, object] = {}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if f.name == "scheme" or value in (0, 0.0):
+            continue
+        out[f.name] = repr(value) if isinstance(value, float) else value
+    return out

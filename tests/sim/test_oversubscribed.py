@@ -4,9 +4,9 @@ stream.  Pins every non-zero ``SimResult`` field (floats by ``repr``) so
 any change to how a trace is split across cores, or to the per-core walk,
 shows up as a byte difference."""
 
-import dataclasses
-
 import pytest
+
+from helpers import nonzero_fields
 
 from repro.analysis.experiments import ExperimentContext
 from repro.runtime import LIGHTWSP, MEMORY_MODE
@@ -44,16 +44,6 @@ EXPECTED = {
         "l1_miss_rate": "0.07801418439716312",
     },
 }
-
-
-def nonzero_fields(result):
-    out = {}
-    for f in dataclasses.fields(result):
-        value = getattr(result, f.name)
-        if f.name == "scheme" or value in (0, 0.0):
-            continue
-        out[f.name] = repr(value) if isinstance(value, float) else value
-    return out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
