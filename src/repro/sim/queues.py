@@ -52,10 +52,6 @@ class SerialServer:
         self.next_free = nf
         return releases
 
-    def peek(self, t: float, units: float = 1.0) -> float:
-        """Completion time without occupying the server."""
-        return max(t, self.next_free) + self.interval * units
-
 
 class SlotPool:
     """``capacity`` slots; releases are published asynchronously.
@@ -94,7 +90,3 @@ class SlotPool:
     @property
     def known_releases(self) -> int:
         return len(self._releases)
-
-    def occupancy_headroom(self) -> int:
-        """Slots grantable right now without blocking."""
-        return (self.capacity - self.in_use) + len(self._releases)

@@ -17,8 +17,8 @@ Three policies (§V-F3):
   Fig. 14).
 
 The selector contract matches :meth:`repro.sim.cache.Cache.access`: it
-receives candidate block addresses in LRU order and returns the index to
-evict, or None to delay.
+receives a full set's block addresses in LRU order (the cache's live set,
+which it only reads) and returns the index to evict, or None to delay.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ def make_victim_selector(
     inflight_blocks: Dict[int, int],
     on_conflict: Optional[ConflictSink] = None,
 ) -> Optional[Callable[[List[int]], Optional[int]]]:
-    """Build the selector for one cache access.  ``inflight_blocks`` maps
-    block address -> number of front-end buffer entries still in flight
-    (the CAM the snoop consults).  Returns None for the stale-load policy
+    """Build one core's selector.  ``inflight_blocks`` maps block address
+    -> number of front-end buffer entries still in flight (the CAM the
+    snoop consults); the selector reads it live, so the engine builds one
+    selector per core per replay.  Returns None for the stale-load policy
     (no snooping at all)."""
     if policy == VictimPolicy.STALE_LOAD:
         return None

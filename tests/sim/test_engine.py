@@ -1,5 +1,8 @@
 """Tests for the timing engine across scheme policies."""
 
+import gc
+import weakref
+
 import pytest
 
 from helpers import locking_program, saxpy_program
@@ -16,6 +19,7 @@ from repro.runtime import (
     PSP_IDEAL,
     SchemePolicy,
 )
+from repro.sim import engine as engine_module
 from repro.sim.engine import TimingEngine, simulate
 
 
@@ -128,6 +132,24 @@ class TestMultithreaded:
         res = simulate(mt["base"], mt["config"], MEMORY_MODE)
         assert res.lock_stall > 0.0
 
+    def test_one_victim_selector_per_core(self, mt, monkeypatch):
+        """Each core's §IV-G selector is built once per replay, over that
+        core's live in-flight map."""
+        built = []
+        original = engine_module.make_victim_selector
+
+        def counting(policy, inflight, on_conflict=None):
+            built.append(inflight)
+            return original(policy, inflight, on_conflict)
+
+        monkeypatch.setattr(engine_module, "make_victim_selector", counting)
+        engine = TimingEngine(mt["config"], LIGHTWSP)
+        engine.run(mt["events"])
+        assert len(engine.cores) == 4
+        assert len(built) == 4
+        for core, inflight in zip(engine.cores, built):
+            assert inflight is core.inflight
+
     def test_mt_all_events_processed(self, mt):
         res = simulate(mt["events"], mt["config"], LIGHTWSP)
         expected = sum(1 for e in mt["events"] if e.kind != "halt")
@@ -146,6 +168,24 @@ class TestSnoopingCounters:
             events, config, LIGHTWSP, cache_scale=(512, 64, 1024)
         )
         assert res.l1_evictions > 0
+
+    def test_finished_replay_needs_no_cycle_collection(self, traces):
+        """Nothing a replay builds refers back to its engine, so its
+        caches and WPQ contents go with the engine, without waiting for
+        a gen-2 collection."""
+        config = traces["config"].with_victim_policy(VictimPolicy.ZERO)
+        gc.disable()
+        try:
+            engine = TimingEngine(config, LIGHTWSP)
+            engine.run(traces["lightwsp"])
+            assert engine.cores[0].selector is not None
+            engine_ref = weakref.ref(engine)
+            hierarchy_ref = weakref.ref(engine.hierarchy)
+            del engine
+            assert engine_ref() is None
+            assert hierarchy_ref() is None
+        finally:
+            gc.enable()
 
     def test_stale_load_policy_counts(self):
         config = SystemConfig().with_victim_policy(VictimPolicy.STALE_LOAD)

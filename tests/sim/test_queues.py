@@ -21,12 +21,6 @@ class TestSerialServer:
         server = SerialServer(2.0)
         assert server.service(0.0, units=3) == 6.0
 
-    def test_peek_does_not_occupy(self):
-        server = SerialServer(4.0)
-        assert server.peek(0.0) == 4.0
-        assert server.peek(0.0) == 4.0
-        assert server.service(0.0) == 4.0
-
 
 class TestSlotPool:
     def test_grants_until_capacity(self):
@@ -62,13 +56,3 @@ class TestSlotPool:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             SlotPool(0)
-
-    def test_headroom_counts_free_and_released(self):
-        pool = SlotPool(3)
-        pool.acquire(0.0)
-        assert pool.occupancy_headroom() == 2
-        pool.acquire(0.0)
-        pool.acquire(0.0)
-        assert pool.occupancy_headroom() == 0
-        pool.release(9.0)
-        assert pool.occupancy_headroom() == 1
