@@ -3,6 +3,7 @@ zero-victim eviction delays, deadlock fallback, and implicit regions."""
 
 from dataclasses import replace
 
+import pytest
 
 from repro.config import SystemConfig, VictimPolicy
 from repro.runtime import LIGHTWSP, SchemePolicy
@@ -73,6 +74,25 @@ class TestEvictionDelay:
         res = simulate(events, config, LIGHTWSP)
         assert res.buffer_conflicts > 0
         assert res.eviction_stall > 0.0
+
+    def test_load_charges_its_delayed_eviction(self):
+        """Eight back-to-back stores fill one L1 set; a load to that set
+        must evict a line whose entry is still in flight.  Under
+        zero-victim the load waits, and the wait reaches the clock: the
+        replay is the snoop-free one plus the eviction stall."""
+        set_stride = 16 * 64
+        events = [ev(EK.STORE, addr=i * set_stride) for i in range(8)]
+        events += [ev(EK.LOAD, addr=8 * set_stride), ev(EK.HALT)]
+        zero = simulate(
+            events, SystemConfig().with_victim_policy(VictimPolicy.ZERO),
+            LIGHTWSP,
+        )
+        stale = simulate(
+            events, SystemConfig().with_victim_policy(VictimPolicy.STALE_LOAD),
+            LIGHTWSP,
+        )
+        assert zero.eviction_stall > 0.0
+        assert zero.cycles == pytest.approx(stale.cycles + zero.eviction_stall)
 
     def test_full_policy_avoids_delay_when_entries_drain(self):
         """With compute between the stores, the persist path drains and
