@@ -18,6 +18,9 @@ CLUSTER = os.path.join(DATA, "cluster-chaos-seed0.jsonl")
 FAILOVER = os.path.join(DATA, "cluster-failover-seed0.jsonl")
 #: one replicated session with a live reshard
 SESSION = os.path.join(DATA, "cluster-session-seed22.jsonl")
+#: the KV-store fault campaign: its cuts, message faults, MC skews and
+#: torn drains all run through the functional machine's batch settle
+STORE = os.path.join(DATA, "store-campaign-seed0.jsonl")
 #: one store serving run with a torn power cut on every shard
 SERVE = os.path.join(DATA, "serve-smoke-seed7-torn.jsonl")
 #: the command that regenerates SERVE (plus --trace); serve has no --jobs
@@ -26,6 +29,7 @@ SERVE_ARGS = ["serve", "--smoke", "--seed", "7", "--crash-torn"]
 SEED_TRACES = {
     CAMPAIGN: ["faults", "campaign", "--seed", "0"],
     CLUSTER: ["faults", "campaign", "--workload", "cluster", "--seed", "0"],
+    STORE: ["faults", "campaign", "--workload", "store", "--seed", "0"],
     FAILOVER: [
         "faults", "campaign", "--workload", "cluster", "--seed", "0",
         "--replicate", "--follower-kills", "1",
@@ -44,6 +48,17 @@ class TestSeedTraces:
         records = read_trace(CAMPAIGN)
         scenarios = [r for r in records if r["type"] == "scenario_end"]
         assert report["checked"] == len(scenarios)
+
+    def test_store_campaign_seed_trace_replays_bit_for_bit(self):
+        report = replay_campaign(STORE, jobs=2)
+        assert report["mismatches"] == []
+        records = read_trace(STORE)
+        assert records[0]["benchmarks"] == [
+            "store-ycsb-a", "store-ycsb-b", "store-crud"
+        ]
+        assert records[-1]["violations"] == 0
+        assert records[-1]["defenses_caught"] == \
+            records[-1]["defenses_total"] > 0
 
     def test_cluster_seed_trace_replays_bit_for_bit(self):
         assert replay_campaign(CLUSTER)["mismatches"] == []
@@ -129,7 +144,7 @@ class TestSeedTraces:
         assert records[-1]["failures"] == 0
 
     def test_seed_traces_are_fully_stamped(self):
-        for path in (CAMPAIGN, CLUSTER, FAILOVER, SESSION):
+        for path in (CAMPAIGN, STORE, CLUSTER, FAILOVER, SESSION):
             records = read_trace(path)
             assert records
             assert all(

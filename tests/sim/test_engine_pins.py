@@ -7,9 +7,14 @@ persist path or the commit pipeline shows up as a byte difference.
 * ssca2 under all six backends; PSP-Ideal replays the hierarchy without
   a DRAM cache, which neither figure pin covers;
 * ssca2 under LightWSP with each victim policy, one MC, a 4-entry WPQ
-  (also under Capri) and dropped bdry-ACKs;
-* vacation on one MC under half- and zero-victim, where front-end buffer
-  conflicts and load-side eviction delays occur.
+  (also under Capri) and dropped bdry-ACKs.  At scale 0.05 ssca2 evicts
+  no L1 line, so its half-, zero-victim and stale-load rows equal the
+  default LightWSP row: they pin the policy plumbing, not the §IV-G
+  re-selection;
+* vacation on one MC under half-victim, zero-victim and stale-load,
+  where L1 evictions, front-end buffer conflicts and load-side eviction
+  delays occur.  Stale-load (no snooping) is the one row whose victims
+  never see the front-end buffers.
 """
 
 import pytest
@@ -57,7 +62,8 @@ CASES.update(
             "vacation", 0.02, LIGHTWSP,
             ONE_MC.with_victim_policy(victim), None,
         )
-        for victim in (VictimPolicy.HALF, VictimPolicy.ZERO)
+        for victim in (VictimPolicy.HALF, VictimPolicy.ZERO,
+                       VictimPolicy.STALE_LOAD)
     }
 )
 
@@ -165,6 +171,16 @@ EXPECTED = {
         "l1_evictions": 6152, "buffer_conflicts": 17, "wpq_probes": 1024,
         "llc_misses": 1024, "overflow_flushes": 11, "undo_logged_entries": 146,
         "deadlock_events": 11, "l1_miss_rate": "0.3640096618357488",
+    },
+    "vacation-LightWSP-1mc-stale-load": {
+        "cycles": "137300.08043481637", "instructions": 205314,
+        "fe_stall": "232245.45000023703",
+        "lock_stall": "61977.921739135345", "persist_exposed": "1249984.0",
+        "persist_waited": "232245.45000023703", "loads": 20544,
+        "stores": 29136, "persist_entries": 29136, "regions": 5152,
+        "l1_evictions": 6152, "wpq_probes": 1024, "llc_misses": 1024,
+        "overflow_flushes": 9, "undo_logged_entries": 223,
+        "deadlock_events": 9, "l1_miss_rate": "0.3640096618357488",
     },
 }
 
