@@ -600,7 +600,10 @@ class ThreadVM:
 
     # ------------------------------------------------------------------
     def run_fast(
-        self, limit: int, trace: Optional[Trace] = None
+        self,
+        limit: int,
+        trace: Optional[Trace] = None,
+        store_steps: Optional[List[int]] = None,
     ) -> Tuple[int, str]:
         """Execute up to ``limit`` instructions in one inline loop over
         the compiled code tuples.
@@ -617,7 +620,12 @@ class ThreadVM:
         and UNLOCK record, preceded by the ALU run before it, and at
         batch end the trailing ALU run or the HALT.  ``n - last`` is the
         ALU run: every instruction the loop retires between two recorded
-        ones is an ALU event, so no ALU opcode pays for recording."""
+        ones is an ALU event, so no ALU opcode pays for recording.
+
+        Given ``store_steps``, each STORE and CKPT appends the thread's
+        step count as it retires (``steps`` before that instruction), in
+        the order its memory write happened: the persistence machine
+        settles a batch's stores in step order from these."""
         if self.halted or limit <= 0:
             return 0, "halt" if self.halted else "limit"
         self.paused_code = None
@@ -638,6 +646,8 @@ class ThreadVM:
         reason = "limit"
         emit = trace.recorder(tid) if trace is not None else None
         last = 0  # n just past the last recorded instruction
+        stamp = store_steps.append if store_steps is not None else None
+        steps0 = self.steps
         # Per-call block cache: blocks cannot be edited while this loop
         # runs, so each (re)validated code list is reused for every
         # re-entry (loop back-edges dominate).  Cleared on function
@@ -678,6 +688,8 @@ class ThreadVM:
                     v = regs.get(v, 0)
                 mem_write(a, v)
                 index += 1
+                if stamp is not None:
+                    stamp(steps0 + n)
                 if emit is not None:
                     emit(n - last, K_STORE, a * WORD_BYTES, 0)
                     last = n + 1
@@ -710,6 +722,8 @@ class ThreadVM:
                     slot = ckpt_base + ri
                 mem_write(slot, regs.get(c[2], 0))
                 index += 1
+                if stamp is not None:
+                    stamp(steps0 + n)
                 if emit is not None:
                     emit(n - last, K_CKPT, slot * WORD_BYTES, 0)
                     last = n + 1

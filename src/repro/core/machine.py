@@ -30,6 +30,7 @@ liveness, checkpoint placement, or pruning makes the property tests fail.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -103,7 +104,10 @@ class MachineStats:
 
 class _HookedMemory(WordMemory):
     """Volatile memory that routes every write through the machine's
-    persistence model.
+    persistence model: admitted on the spot under
+    :meth:`PersistentMachine.step`, or appended to the open batch's
+    buffer under :meth:`PersistentMachine.run`, whose settle admits it
+    in step order.
 
     ``written`` collects every word a store targeted.  Recovery, undo
     rollback, torn writes and the battery drain only ever rewrite such
@@ -122,8 +126,6 @@ class _HookedMemory(WordMemory):
         if buf is None:
             self._machine._on_store(addr, value)
         else:
-            # batched quantum: defer persistence bookkeeping, admit the
-            # whole run of same-region stores in one bulk call at the end
             buf.append((addr, value))
 
 
@@ -138,9 +140,8 @@ class PersistentMachine:
     continuations, the durable I/O log, and the recovery protocol's
     orchestration."""
 
-    #: when a batched quantum is running with bulk admission enabled,
-    #: _HookedMemory appends (word, value) here instead of calling
-    #: _on_store per write; None outside a batch (the per-store path)
+    #: the open batch's stores: _HookedMemory appends (word, value) here
+    #: instead of calling _on_store per write; None outside a batch
     _store_buf: Optional[List[Tuple[int, int]]] = None
 
     def __init__(
@@ -246,6 +247,16 @@ class PersistentMachine:
         if occupancy > self.stats.max_wpq_occupancy:
             self.stats.max_wpq_occupancy = occupancy
 
+    def _admit_stores(self, region: int, stores: List[Tuple[int, int]]) -> None:
+        """Admit a run of one region's stores in order: the fused
+        equivalent of one :meth:`_on_store` per store (FaultyMachine
+        drops the ones whose MC is down)."""
+        stats = self.stats
+        stats.stores += len(stores)
+        occupancy = self.persist.admit_many(region, stores)
+        if occupancy > stats.max_wpq_occupancy:
+            stats.max_wpq_occupancy = occupancy
+
     def _resolve_full(
         self, wpq: FunctionalWPQ, region: int, word: int, value: int
     ) -> None:
@@ -253,10 +264,14 @@ class PersistentMachine:
         fault subsystem can model the undo-logging defense switched off."""
         self.persist.resolve_full(wpq, region, word, value)
 
-    def _boundary_executed(self, tid: int, boundary_uid: int) -> None:
+    def _boundary_executed(self, tid: int, boundary_uid: int) -> int:
+        """The live half of a retired BOUNDARY: end the thread's region,
+        hand it a fresh ID and record the resume point.  Returns the
+        ended region, which :meth:`_boundary_settled` broadcasts — at
+        once under :meth:`step`, in the batch's settle under
+        :meth:`run`."""
         vm = self.vms[tid]
         ended = self.allocator.boundary(tid)
-        self._broadcast_boundary(ended)
         self.stats.boundaries += 1
         continuation = Continuation(
             func=vm.func_name,
@@ -269,6 +284,12 @@ class PersistentMachine:
             boundary_uid=boundary_uid,
         )
         self.history[tid].append((ended, continuation))
+        return ended
+
+    def _boundary_settled(self, ended: int) -> None:
+        """The persistence half of a region end: the boundary leaves the
+        core, and whatever that makes committable commits."""
+        self._broadcast_boundary(ended)
         self._try_commit()
 
     def _sync_refresh(self, tid: int) -> None:
@@ -276,9 +297,7 @@ class PersistentMachine:
         hand it a fresh ID from the global counter — without creating a
         resume point (the compiler's boundary just before the sync
         instruction provides that)."""
-        ended = self.allocator.boundary(tid)
-        self._broadcast_boundary(ended)
-        self._try_commit()
+        self._boundary_settled(self.allocator.boundary(tid))
 
     def _thread_halted(self, tid: int) -> None:
         """Close the trailing (empty) region so later IDs can commit; the
@@ -286,9 +305,7 @@ class PersistentMachine:
         if tid in self._halted_closed:
             return
         self._halted_closed.add(tid)
-        ended = self.allocator.region_of(tid)
-        self._broadcast_boundary(ended)
-        self._try_commit()
+        self._boundary_settled(self.allocator.region_of(tid))
         if all(vm.halted for vm in self.vms):
             # clean completion: schemes without a persist protocol drain
             # their volatile dirty state here (the flush a crash never gets)
@@ -311,6 +328,13 @@ class PersistentMachine:
         """Move the committing region's quarantined entries to PM (no-op
         for backends that persisted them at admission)."""
         self.persist.commit_flush(region)
+
+    def _next_ack_due(self) -> Optional[int]:
+        """The step at which the commit candidate's flush-ACK matures, or
+        None when no ACK is in flight.  The base machine's interconnect
+        ACKs at once, so its regions commit only at boundaries, syncs and
+        halts; FaultyMachine returns its ACK schedule's entry."""
+        return None
 
     def _try_commit(self) -> None:
         persist = self.persist
@@ -360,7 +384,9 @@ class PersistentMachine:
             if self.stats.steps % self.quantum == 0:
                 self._turn += 1
             if event.kind == EK.BOUNDARY:
-                self._boundary_executed(tid, event.boundary_uid)
+                self._boundary_settled(
+                    self._boundary_executed(tid, event.boundary_uid)
+                )
             elif event.kind == EK.IO:
                 region = self.allocator.region_of(tid)
                 self.io_log.append(
@@ -384,51 +410,25 @@ class PersistentMachine:
             steps=self.stats.steps,
         )
 
-    # -- batched execution hooks (FaultyMachine specializes these) ------
-    def _quantum_cap(self) -> Optional[int]:
-        """Extra bound on how many instructions the next batch may retire
-        before machine state must be re-examined (None: no bound)."""
-        return None
-
-    def _bulk_admit_ok(self) -> bool:
-        """Whether per-store admission may be deferred and fused into one
-        bulk call at batch end (fault injection must interpose per
-        store, so FaultyMachine refuses while MCs are down)."""
-        return True
-
-    def _after_batch(self) -> None:
-        """Called after every batch; FaultyMachine re-checks matured
-        boundary ACKs here (the classic step path checks per step)."""
-
-    def _flush_stores(self, tid: int, stores: List[Tuple[int, int]]) -> None:
-        """Bulk-admit a batch's deferred stores: the per-region fused
-        equivalent of per-store :meth:`_on_store` calls.  Regions cannot
-        change mid-batch (boundaries and syncs pause the batch), so one
-        ``region_of`` lookup and one ``admit_many`` cover the run."""
-        region = self.allocator.region_of(tid)
-        self.stats.stores += len(stores)
-        occupancy = self.persist.admit_many(region, stores)
-        if occupancy > self.stats.max_wpq_occupancy:
-            self.stats.max_wpq_occupancy = occupancy
-
     def run(self, steps: Optional[int] = None) -> bool:
         """Execute up to ``steps`` instructions (or to completion).
         Returns True when the program has finished.
 
-        The one batching loop, for any thread count.  Each batch runs
-        the scheduled thread (picked with :meth:`step`'s rotation)
-        through :meth:`ThreadVM.run_fast` with bulk store admission,
-        capped so it never crosses a point where the machine must
-        intervene: ``max_steps``, a subclass deadline
-        (:meth:`_quantum_cap`), the next round-robin rotation point
-        (with several threads), or a machine-visible instruction.  A
-        paused BOUNDARY or IO retires inline; LOCK / ATOMIC_RMW / FENCE
-        go through :meth:`step`, which owns sync refreshes,
-        blocked-thread rotation and deadlock detection.  ``_turn``
-        advances arithmetically: the classic path bumps it once per
-        ``steps % quantum == 0`` crossing, which over a batch is
-        ``(after // q) - (before // q)`` increments.  Byte-for-bit
-        equivalent to single-stepping — the parity suite pins this."""
+        The one batching loop, for any thread count.  A batch runs the
+        scheduled thread (picked with :meth:`step`'s rotation) through
+        :meth:`ThreadVM.run_fast` and stays open across its BOUNDARY and
+        IO pauses, which retire live.  It ends only at its cap
+        (``max_steps``, ``steps`` and, with several threads, the next
+        rotation point), at a halt, or before LOCK / ATOMIC_RMW / FENCE,
+        which go through :meth:`step` (sync refreshes, blocked-thread
+        rotation, deadlock detection).  :meth:`_settle` then applies the
+        batch's persistence events in step order, before anything can
+        read them: before :meth:`step`, :meth:`_thread_halted`, and any
+        return or raise.  ``_turn`` advances arithmetically: the classic
+        path bumps it once per ``steps % quantum == 0`` crossing, which
+        over a batch is ``(end // q) - (start // q)`` increments.
+        Byte-for-bit equivalent to single-stepping — the parity suite
+        pins this."""
         stats = self.stats
         vms = self.vms
         n = len(vms)
@@ -453,83 +453,142 @@ class PersistentMachine:
                     return True
                 self._stepping_tid = tid
                 run_fast = vm.run_fast
-            cap = max_steps - stats.steps
-            if cap > remaining:
-                cap = remaining
-            if rotate and cap > q - stats.steps % q:
-                cap = q - stats.steps % q
-            deadline = self._quantum_cap()
-            if deadline is not None and cap > deadline:
-                cap = deadline
-            if cap < 1:
-                # a subclass deadline is due (or max_steps is exhausted):
-                # advance one instruction, then re-check machine state
-                cap = 1
-            if cap > 1 and self._bulk_admit_ok():
-                buf: List[Tuple[int, int]] = []
-                self._store_buf = buf
-                try:
-                    retired, why = run_fast(cap)
-                finally:
-                    self._store_buf = None
-                    if buf:
-                        self._flush_stores(tid, buf)
-            else:
-                retired, why = run_fast(cap)
-            if retired:
-                before = stats.steps
-                after = before + retired
-                stats.steps = after
-                self._turn += after // q - before // q
-                remaining -= retired
-                if why == "halt":
-                    self._thread_halted(tid)
-                self._after_batch()
-                if after >= max_steps:
-                    raise MachineLimitError(
-                        "machine exceeded max_steps",
-                        steps=after,
-                        limit=max_steps,
-                    )
-                if why != "pause" or remaining <= 0:
-                    continue
-            # The batch paused before a machine-visible instruction whose
-            # code tuple run_fast stashed.  Boundaries and IO dominate
-            # that traffic and have no sync refresh or blocking cases, so
-            # they retire here without the classic scan or a re-fetch;
-            # _after_batch is the per-step ACK recheck.
-            c = vm.paused_code
-            assert c is not None
-            k = c[0]
-            if k == C_BOUNDARY:
-                event = vm._h_boundary(c)
-                stats.steps += 1
-                if stats.steps % q == 0:
-                    self._turn += 1
-                self._boundary_executed(tid, event.boundary_uid)
-                self._after_batch()
-            elif k == C_IO:
-                event = vm._h_io(c)
-                stats.steps += 1
-                if stats.steps % q == 0:
-                    self._turn += 1
-                region = self.allocator.region_of(tid)
-                self.io_log.append([tid, event.lock_id, region, event.payload])
-                if stats.io_steps is not None:
-                    stats.io_steps.append((event.payload, region, stats.steps))
-                self._after_batch()
-            else:
+            start = stats.steps
+            left = max_steps - start
+            if left > remaining:
+                left = remaining
+            if rotate and left > q - start % q:
+                left = q - start % q
+            if left < 1:
+                left = 1  # max_steps is exhausted: one step, then raise
+            # the thread's own step count runs in lockstep with the
+            # machine's for the whole batch: global step = vm.steps + base
+            base = start - vm.steps
+            stores: List[Tuple[int, int]] = []
+            store_steps: List[int] = []
+            marks: List[Tuple[int, int, int]] = []
+            sync = False
+            self._store_buf = stores
+            try:
+                while True:
+                    retired, why = run_fast(left, None, store_steps)
+                    left -= retired
+                    if why != "pause":
+                        break
+                    c = vm.paused_code
+                    assert c is not None
+                    k = c[0]
+                    if k == C_BOUNDARY:
+                        # the PC-slot store retires one step before the
+                        # boundary does
+                        store_steps.append(vm.steps)
+                        event = vm._h_boundary(c)
+                        ended = self._boundary_executed(
+                            tid, event.boundary_uid
+                        )
+                        marks.append((len(stores), vm.steps + base, ended))
+                    elif k == C_IO:
+                        event = vm._h_io(c)
+                        region = self.allocator.region_of(tid)
+                        self.io_log.append(
+                            [tid, event.lock_id, region, event.payload]
+                        )
+                        if stats.io_steps is not None:
+                            stats.io_steps.append(
+                                (event.payload, region, vm.steps + base)
+                            )
+                    else:
+                        sync = True
+                        break
+                    left -= 1
+                    if left == 0:
+                        break
+            finally:
+                self._store_buf = None
+                end = vm.steps + base
+                # a halting batch settles up to the step before its HALT,
+                # which then retires as step() retires it
+                self._settle(
+                    tid, stores, store_steps, base, marks,
+                    end - 1 if vm.halted else end,
+                )
+            self._turn += end // q - start // q
+            remaining -= end - start
+            if vm.halted:
+                stats.steps = end
+                self._thread_halted(tid)
+            if end >= max_steps:
+                raise MachineLimitError(
+                    "machine exceeded max_steps", steps=end, limit=max_steps
+                )
+            if sync:
                 # LOCK / ATOMIC_RMW / FENCE: a live thread stands at the
                 # scheduled turn, so the classic step never reports done
                 self.step()
-            remaining -= 1
-            if stats.steps >= max_steps:
-                raise MachineLimitError(
-                    "machine exceeded max_steps",
-                    steps=stats.steps,
-                    limit=max_steps,
-                )
+                remaining -= 1
+                if stats.steps >= max_steps:
+                    raise MachineLimitError(
+                        "machine exceeded max_steps",
+                        steps=stats.steps,
+                        limit=max_steps,
+                    )
         return self.finished
+
+    def _settle(
+        self,
+        tid: int,
+        stores: List[Tuple[int, int]],
+        store_steps: List[int],
+        base: int,
+        marks: List[Tuple[int, int, int]],
+        end: int,
+    ) -> None:
+        """Apply a batch's persistence events in the order the per-step
+        path applies them, leaving ``stats.steps`` at ``end``.
+
+        ``stores[i]`` retired at global step ``store_steps[i] + base``.
+        Each mark ``(position, step, ended)`` is a BOUNDARY that retired
+        at ``step`` after ``stores[:position]``: that segment is the
+        ended region's, and once it is admitted the boundary is
+        broadcast at ``step``.  The tail segment belongs to the thread's
+        current region.  Before each store, every region whose flush-ACK
+        matured by the store's step commits; last, every ACK due by
+        ``end`` matures.  Between two machine-visible instructions
+        nothing reads the WPQs, PM or the commit state (LOADs read
+        volatile memory), so replaying the events in step order is
+        exact — and the settle must run even for a batch that buffered
+        nothing, since an ACK can mature during an ALU-only stretch."""
+        lo = 0
+        tail = (len(stores), -1, self.allocator.region_of(tid))
+        for hi, step, region in marks + [tail]:
+            while lo < hi:
+                # one bulk admission per run of stores between maturities
+                due = self._mature(store_steps[lo] + base)
+                cut = hi
+                if due is not None and due - base <= store_steps[hi - 1]:
+                    cut = bisect_left(store_steps, due - base, lo + 1, hi)
+                self._admit_stores(region, stores[lo:cut])
+                lo = cut
+            if step >= 0:
+                self._mature(step - 1)
+                self.stats.steps = step
+                self._boundary_settled(region)
+        self._mature(end)
+        self.stats.steps = end
+
+    def _mature(self, upto: int) -> Optional[int]:
+        """The per-step ACK check of every step up to ``upto``: commit,
+        at its due step, each region whose flush-ACK matures by then.
+        Returns the due step of the ACK still in flight, if any."""
+        due = self._next_ack_due()
+        while due is not None and due <= upto:
+            self.stats.steps = due
+            self._try_commit()
+            after = self._next_ack_due()
+            if after == due:
+                break  # nothing committed: only a broadcast changes that
+            due = after
+        return due
 
     @property
     def finished(self) -> bool:

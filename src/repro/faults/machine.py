@@ -284,31 +284,10 @@ class FaultyMachine(PersistentMachine):
                 self._try_commit()
         return event
 
-    # -- batched-execution hooks ---------------------------------------
-    # _ack_due / committed_upto only change on boundary, sync, halt, or
-    # commit paths — all machine-visible, so none can fire mid-batch.
-    # Capping the batch at the pending ACK deadline and re-checking in
-    # _after_batch is therefore byte-identical to the per-step check.
-    def _quantum_cap(self):
-        persist = self.persist
-        if not persist.gated:
-            return None
-        due = self._ack_due.get(persist.committed_upto)
-        if due is None:
-            return None
-        return due - self.stats.steps
-
-    def _bulk_admit_ok(self) -> bool:
-        # a downed MC loses stores one at a time (_on_store interposes);
-        # bulk admission must stay off while any MC is dark
-        return not (self.persist.gated and self.down_mcs)
-
-    def _after_batch(self) -> None:
-        persist = self.persist
-        if persist.gated:
-            due = self._ack_due.get(persist.committed_upto)
-            if due is not None and self.stats.steps >= due:
-                self._try_commit()
+    def _next_ack_due(self) -> Optional[int]:
+        # the commit candidate's ACK schedule entry: only gated backends
+        # broadcast boundaries as messages, so only they schedule ACKs
+        return self._ack_due.get(self.persist.committed_upto)
 
     def _commit_flush(self, region: int) -> None:
         if not self.persist.gated:
@@ -343,6 +322,21 @@ class FaultyMachine(PersistentMachine):
             self.fault_counters["lost_stores"] += 1
             return
         super()._on_store(word, value)
+
+    def _admit_stores(self, region, stores) -> None:
+        down = self.down_mcs
+        if down and self.persist.gated:
+            # _on_store's rule over a run: stores to a downed MC are
+            # counted and lost, the rest keep their order
+            mc_of = self._mc_of_word
+            kept = [pair for pair in stores if mc_of(pair[0]) not in down]
+            lost = len(stores) - len(kept)
+            self.stats.stores += lost
+            self.fault_counters["lost_stores"] += lost
+            if not kept:
+                return
+            stores = kept
+        super()._admit_stores(region, stores)
 
     def _resolve_full(self, wpq, region, word, value) -> None:
         if self.defenses.undo_logging:
