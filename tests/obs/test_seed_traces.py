@@ -21,6 +21,9 @@ SESSION = os.path.join(DATA, "cluster-session-seed22.jsonl")
 #: the KV-store fault campaign: its cuts, message faults, MC skews and
 #: torn drains all run through the functional machine's batch settle
 STORE = os.path.join(DATA, "store-campaign-seed0.jsonl")
+#: the machine-plane campaign of an eager (non-gated) backend, which runs
+#: FaultyMachine's fallbacks for backends without a boundary/ACK layer
+EAGER = os.path.join(DATA, "cwsp-campaign-seed0.jsonl")
 #: one store serving run with a torn power cut on every shard
 SERVE = os.path.join(DATA, "serve-smoke-seed7-torn.jsonl")
 #: the command that regenerates SERVE (plus --trace); serve has no --jobs
@@ -30,6 +33,10 @@ SEED_TRACES = {
     CAMPAIGN: ["faults", "campaign", "--seed", "0"],
     CLUSTER: ["faults", "campaign", "--workload", "cluster", "--seed", "0"],
     STORE: ["faults", "campaign", "--workload", "store", "--seed", "0"],
+    EAGER: [
+        "faults", "campaign", "--backend", "cwsp-eager", "--seed", "0",
+        "--benchmarks", "bzip2", "xz",
+    ],
     FAILOVER: [
         "faults", "campaign", "--workload", "cluster", "--seed", "0",
         "--replicate", "--follower-kills", "1",
@@ -59,6 +66,15 @@ class TestSeedTraces:
         assert records[-1]["violations"] == 0
         assert records[-1]["defenses_caught"] == \
             records[-1]["defenses_total"] > 0
+
+    def test_eager_campaign_seed_trace_replays_bit_for_bit(self):
+        report = replay_campaign(EAGER, jobs=2)
+        assert report["mismatches"] == []
+        records = read_trace(EAGER)
+        assert records[0]["backend"] == "cwsp-eager"
+        scenarios = [r for r in records if r["type"] == "scenario_end"]
+        assert report["checked"] == len(scenarios) > 0
+        assert records[-1]["violations"] == 0
 
     def test_cluster_seed_trace_replays_bit_for_bit(self):
         assert replay_campaign(CLUSTER)["mismatches"] == []
@@ -144,7 +160,7 @@ class TestSeedTraces:
         assert records[-1]["failures"] == 0
 
     def test_seed_traces_are_fully_stamped(self):
-        for path in (CAMPAIGN, STORE, CLUSTER, FAILOVER, SESSION):
+        for path in (CAMPAIGN, STORE, EAGER, CLUSTER, FAILOVER, SESSION):
             records = read_trace(path)
             assert records
             assert all(
