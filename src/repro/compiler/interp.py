@@ -359,8 +359,6 @@ class ThreadVM:
         self.index = 0
         self.halted = False
         self.steps = 0
-        #: externally visible I/O operations performed: (device, payload)
-        self.io_log: List[Tuple[int, int]] = []
         #: the machine-visible code tuple :meth:`run_fast` paused before
         #: (None after any other exit) — lets the caller dispatch it
         #: without re-fetching the block
@@ -592,7 +590,6 @@ class ThreadVM:
         self.steps += 1
         instr: Instr = c[1]
         payload = self._value(instr.srcs[0]) if instr.srcs else 0
-        self.io_log.append((instr.imm, payload))
         self.index += 1
         return TraceEvent(
             EK.IO, tid=self.tid, lock_id=instr.imm, payload=payload

@@ -5,7 +5,7 @@ from .failure import crash_sweep, reference_pm, run_with_crashes
 from .machine import Continuation, MachineStats, PersistentMachine
 from .recovery import evaluate_recipe, rebuild_registers
 from .regionid import RegionIdAllocator
-from .wpq import FunctionalWPQ, WPQEntry, WPQFullError
+from .wpq import FunctionalWPQ, WPQFullError
 
 __all__ = [
     "crash_sweep",
@@ -18,6 +18,5 @@ __all__ = [
     "rebuild_registers",
     "RegionIdAllocator",
     "FunctionalWPQ",
-    "WPQEntry",
     "WPQFullError",
 ]

@@ -10,9 +10,9 @@ happens-before order — the property lazy region-level persist ordering
 relies on to flush conflicting stores in the right order.
 
 Each thread *owns* its current ID (all-or-nothing recovery is per thread
-region), and the ID is saved/restored across context switches — the
-"virtualization" of §IV-C — which this class models with an explicit
-save/restore API.
+region).  The machine keeps one current ID per thread across every
+rotation of its round-robin schedule, which is the "virtualization" of
+§IV-C: a thread scheduled out mid-region resumes under its own ID.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class RegionIdAllocator:
     def __init__(self) -> None:
         self._next = 0
         self.current: Dict[int, int] = {}
-        self._saved: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def start_thread(self, tid: int) -> int:
@@ -54,20 +53,3 @@ class RegionIdAllocator:
         """Total IDs handed out (the exclusive upper bound of the ID
         space — the commit pipeline walks [0, allocated))."""
         return self._next
-
-    # ------------------------------------------------------------------
-    # Context-switch virtualization (§IV-C): without this, a thread that
-    # was scheduled out mid-region would tag its stores with whatever ID
-    # the core's hardware register happened to hold.
-    # ------------------------------------------------------------------
-    def save(self, tid: int) -> int:
-        """Context-switch out: save the thread's region ID."""
-        self._saved[tid] = self.current[tid]
-        return self._saved[tid]
-
-    def restore(self, tid: int) -> int:
-        """Context-switch in: restore the saved region ID."""
-        if tid not in self._saved:
-            raise KeyError("no saved region ID for thread %d" % tid)
-        self.current[tid] = self._saved.pop(tid)
-        return self.current[tid]

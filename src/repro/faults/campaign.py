@@ -182,14 +182,10 @@ def _probe_benchmark(
     tiny = _tiny_config(config)
     walker = FaultyMachine(compiled, config=tiny, backend=backend)
     open_undo: List[int] = []
-    while True:
-        if walker.step() is None:
-            break
-        for region in walker.undo_log:
-            if (region not in walker.boundary_issued
-                    or not walker._seen_ok(region)):
-                open_undo.append(walker.stats.steps)
-                break
+    while walker.step() is not None:
+        # an undo-logged region with no ACK scheduled cannot commit yet
+        if any(r not in walker._ack_due for r in walker.persist.undo_log):
+            open_undo.append(walker.stats.steps)
     return _Probe(
         total_steps=total,
         boundary_steps=boundaries,

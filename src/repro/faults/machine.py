@@ -90,7 +90,10 @@ class FaultyMachine(PersistentMachine):
         n_mcs = config.mc.n_mcs
         #: per-MC set of region boundaries delivered (and ACKed)
         self.mc_seen: List[Set[int]] = [set() for _ in range(n_mcs)]
-        #: region -> step at which its flush-ACK exchange completes
+        #: the ACK schedule, and the commit gate: region -> step at which
+        #: its flush-ACK exchange completes.  An entry exists exactly while
+        #: the region's boundary has been broadcast and seen as
+        #: ``ack_wait`` requires and the region has not committed.
         self._ack_due: Dict[int, int] = {}
         #: queued (re)deliveries: [due boundary-seq, mc, region]
         self._pending_msgs: List[List[int]] = []
@@ -165,7 +168,7 @@ class FaultyMachine(PersistentMachine):
                 self._ack_due[region] = self.stats.steps + ACK_LATENCY_STEPS
             return
         self._deliver_due()
-        for mc in range(len(self.wpqs)):
+        for mc in range(len(self.mc_seen)):
             armed = self._take_armed_msg(mc)
             if armed is None:
                 self._deliver(mc, region)
@@ -204,15 +207,14 @@ class FaultyMachine(PersistentMachine):
                     [self._boundary_seq + RETRY_TIMEOUT_BOUNDARIES, mc, region]
                 )
             return
-        if region < self.committed_upto:
+        if region < self.persist.committed_upto:
             # straggler: the region's flush ID already advanced (only
             # reachable with the ack_wait defense off) — the MC flushes
             # the late region immediately, possibly clobbering younger
             # committed values: the ordering hazard the defense prevents
             self.fault_counters["straggler_flushes"] += 1
             self.trace.emit("straggler_flush", mc=mc, region=region)
-            for entry in self.wpqs[mc].pop_region(region):
-                self.pm[entry.word] = entry.value
+            self.pm.update(self.persist.wpqs[mc].pop_region(region))
             return
         self.mc_seen[mc].add(region)
         if region not in self._ack_due and self._seen_ok(region):
@@ -264,17 +266,14 @@ class FaultyMachine(PersistentMachine):
     # commit gating
     # ------------------------------------------------------------------
     def _region_committable(self, region: int) -> bool:
-        persist = self.persist
-        if not persist.gated:
+        if not self.persist.gated:
             return super()._region_committable(region)
-        if region not in persist.boundary_issued:
-            return False
-        if not self._seen_ok(region):
-            return False
-        if self._battery_powered or self._settling:
-            return True  # the battery/wall-clock finishes in-flight ACKs
+        # scheduled means broadcast and seen as ack_wait requires; the
+        # battery and the settling wall-clock finish in-flight ACKs
         due = self._ack_due.get(region)
-        return due is not None and self.stats.steps >= due
+        return due is not None and (
+            self.stats.steps >= due or self._battery_powered or self._settling
+        )
 
     def step(self):
         event = super().step()
@@ -295,20 +294,19 @@ class FaultyMachine(PersistentMachine):
             return
         self._ack_due.pop(region, None)
         if self._battery_powered:
-            for mc, wpq in enumerate(self.wpqs):
+            for mc, wpq in enumerate(self.persist.wpqs):
                 if region in self.mc_seen[mc]:
-                    for entry in wpq.pop_region(region):
-                        self._drain_one(entry)
+                    for word, value in wpq.pop_region(region):
+                        self._drain_one(word, value)
             return
         if self.defenses.ack_wait:
             super()._commit_flush(region)
             return
         # ack_wait off: only the MCs that saw the boundary flush; the
         # others keep the region quarantined (they never learned it ended)
-        for mc, wpq in enumerate(self.wpqs):
+        for mc, wpq in enumerate(self.persist.wpqs):
             if region in self.mc_seen[mc]:
-                for entry in wpq.pop_region(region):
-                    self.pm[entry.word] = entry.value
+                self.pm.update(wpq.pop_region(region))
 
     # ------------------------------------------------------------------
     # stores
@@ -339,20 +337,12 @@ class FaultyMachine(PersistentMachine):
         super()._admit_stores(region, stores)
 
     def _resolve_full(self, wpq, region, word, value) -> None:
-        if self.defenses.undo_logging:
-            super()._resolve_full(wpq, region, word, value)
-            return
-        # defense off: the §IV-D overflow flush writes PM speculatively
-        # WITHOUT recording pre-images — nothing to roll back at a crash
-        self.stats.overflow_events += 1
-        present = wpq.regions_present()
-        victim = (
-            self.committed_upto if self.committed_upto in present
-            else min(present)
+        # with the undo-logging defense off, the §IV-D overflow flush
+        # writes PM speculatively WITHOUT recording pre-images — nothing
+        # to roll back at a crash
+        self.persist.resolve_full(
+            wpq, region, word, value, undo=self.defenses.undo_logging
         )
-        for entry in wpq.pop_region(victim):
-            self.pm[entry.word] = entry.value
-        wpq.put(region, word, value)
 
     # ------------------------------------------------------------------
     # power failure
@@ -414,20 +404,20 @@ class FaultyMachine(PersistentMachine):
         self._drain_budget = self._armed_budget
         self._drain_index = 0
 
-    def _drain_one(self, entry) -> None:
+    def _drain_one(self, word: int, value: int) -> None:
         limited = self._drain_budget is not None
         if limited and self._drain_budget <= 0:
             # battery exhausted mid-drain: the entry never reaches PM
             # (only reachable with the sized_battery defense off)
             self.fault_counters["drain_lost"] += 1
-            self.trace.emit("drain_exhausted", word=entry.word)
+            self.trace.emit("drain_exhausted", word=word)
             self._drain_index += 1
             return
         if limited:
             self._drain_budget -= 1
         if self._drain_index in self._torn_indices:
-            old = self.pm.get(entry.word, 0)
-            self.pm[entry.word] = tear_value(old, entry.value)
+            old = self.pm.get(word, 0)
+            self.pm[word] = tear_value(old, value)
             repaired = False
             if self.defenses.wpq_retention and (
                 not limited or self._drain_budget > 0
@@ -436,13 +426,13 @@ class FaultyMachine(PersistentMachine):
                 # the battery re-issues it and the tear never survives
                 if limited:
                     self._drain_budget -= 1
-                self.pm[entry.word] = entry.value
+                self.pm[word] = value
                 repaired = True
             key = "torn_repaired" if repaired else "torn_landed"
             self.fault_counters[key] += 1
-            self.trace.emit("torn_write", word=entry.word, repaired=repaired)
+            self.trace.emit("torn_write", word=word, repaired=repaired)
         else:
-            self.pm[entry.word] = entry.value
+            self.pm[word] = value
         self._drain_index += 1
 
     # ------------------------------------------------------------------
@@ -455,13 +445,14 @@ class FaultyMachine(PersistentMachine):
             raise NestedPowerFailure()
 
     def _rollback_overflow(self, report: Dict[str, int]) -> None:
-        if self._nested_armed == "mid_rollback" and self.undo_log:
-            log = self.undo_log
+        persist = self.persist
+        if self._nested_armed == "mid_rollback" and persist.undo_log:
+            log = persist.undo_log
             if not self.defenses.idempotent_recovery:
                 # defense off: the log was truncated the moment recovery
                 # began consuming it — the pre-images below survive only
                 # in this volatile copy
-                self.undo_log = {}
+                persist.undo_log = {}
             regions = sorted(log, reverse=True)
             for region in regions[: len(regions) // 2]:
                 for word, old in log[region].items():
@@ -470,7 +461,7 @@ class FaultyMachine(PersistentMachine):
             self._nested_armed = None
             raise NestedPowerFailure()
         if not self.defenses.idempotent_recovery:
-            log, self.undo_log = self.undo_log, {}
+            log, persist.undo_log = persist.undo_log, {}
             report["undone"] += rollback_undo(self.pm, log)
             return
         super()._rollback_overflow(report)

@@ -36,13 +36,9 @@ class TestCompilerIO:
         assert io_events[0].lock_id == 1
 
     def test_vm_io_log_records_payload(self):
-        prog = io_program()
-        from repro.compiler.interp import ThreadVM
-
-        vm = ThreadVM(prog, "main")
-        while not vm.halted:
-            vm.step()
-        assert vm.io_log == [(1, 7), (2, 0)]
+        events, _ = run_single(io_program())
+        ios = [(e.lock_id, e.payload) for e in events if e.kind == "io"]
+        assert ios == [(1, 7), (2, 0)]
 
 
 class TestMachineIO:

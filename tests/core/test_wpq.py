@@ -24,16 +24,9 @@ class TestFunctionalWPQ:
         wpq.put(1, 10, 1)
         wpq.put(2, 20, 2)
         wpq.put(1, 11, 3)
-        entries = wpq.pop_region(1)
-        assert [(e.word, e.value) for e in entries] == [(10, 1), (11, 3)]
+        assert wpq.pop_region(1) == [(10, 1), (11, 3)]
+        assert wpq.runs == {2: [(20, 2)]}
         assert len(wpq) == 1
-
-    def test_discard_region(self):
-        wpq = FunctionalWPQ(8)
-        wpq.put(1, 10, 1)
-        wpq.put(2, 20, 2)
-        assert wpq.discard_region(1) == 1
-        assert wpq.regions_present() == [2]
 
     def test_discard_all(self):
         wpq = FunctionalWPQ(8)
@@ -41,19 +34,6 @@ class TestFunctionalWPQ:
         wpq.put(2, 20, 2)
         assert wpq.discard_all() == 2
         assert len(wpq) == 0
-
-    def test_search_returns_youngest(self):
-        wpq = FunctionalWPQ(8)
-        wpq.put(1, 10, 1)
-        wpq.put(2, 10, 99)
-        assert wpq.search(10) == 99
-        assert wpq.search(11) is None
-
-    def test_has_region(self):
-        wpq = FunctionalWPQ(8)
-        wpq.put(3, 10, 1)
-        assert wpq.has_region(3)
-        assert not wpq.has_region(4)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -72,21 +52,3 @@ class TestRegionIdAllocator:
         assert alloc.boundary(1) == 1
         assert alloc.region_of(1) == 3
         assert alloc.allocated == 4
-
-    def test_save_restore_virtualization(self):
-        from repro.core.regionid import RegionIdAllocator
-
-        alloc = RegionIdAllocator()
-        alloc.start_thread(0)
-        alloc.save(0)
-        alloc.start_thread(1)  # another context reuses the core
-        alloc.boundary(1)
-        assert alloc.restore(0) == 0
-
-    def test_restore_without_save_rejected(self):
-        from repro.core.regionid import RegionIdAllocator
-
-        alloc = RegionIdAllocator()
-        alloc.start_thread(0)
-        with pytest.raises(KeyError):
-            alloc.restore(0)
