@@ -3,13 +3,17 @@ witness-path justifications for every kept boundary."""
 
 import pytest
 
+from repro.compiler.interp import run_single
 from repro.compiler.ir import Op
 from repro.compiler.pipeline import compile_program
 from repro.config import CompilerConfig
+from repro.faults.campaign import resolve_benchmark
+from repro.trace import EK
 from repro.verify import verify_compiled
 from repro.verify.mutate import SELF_TEST_THRESHOLD, _target_program
 from repro.verify.place import minimize_compiled
 from repro.verify.place.minimize import _ANCHORED
+from repro.workloads.randprog import random_program
 from repro.workloads.suite import BENCHMARKS
 
 
@@ -114,3 +118,35 @@ def test_unsafe_merge_bug_is_caught_by_verifier():
 def test_unknown_bug_rejected():
     with pytest.raises(ValueError):
         minimize_compiled(_compiled("lbm"), _bug="nope")
+
+
+def _boundary_uids(program):
+    return {
+        instr.uid
+        for func in program.functions.values()
+        for instr in func.instructions()
+        if instr.op == Op.BOUNDARY
+    }
+
+
+def _boundaries_run(program):
+    trace, _ = run_single(program)
+    return {e.boundary_uid for e in trace if e.kind == EK.BOUNDARY}
+
+
+@pytest.mark.parametrize("build, config", [
+    (lambda: random_program(11), CompilerConfig(store_threshold=8)),
+    (lambda: random_program(23), CompilerConfig(store_threshold=8)),
+    (lambda: resolve_benchmark("store-ycsb-a").build(scale=0.01),
+     CompilerConfig()),
+], ids=["randprog-11", "randprog-23", "store-ycsb-a"])
+def test_minimized_program_runs_its_minimized_code(build, config):
+    # The compile lowers the program for the interpreter and the run
+    # below uses that lowering; minimization then edits the program in
+    # place, and the next run must execute the edited blocks.
+    compiled = compile_program(build(), config, verify=False)
+    ran_before = _boundaries_run(compiled.program)
+    minimize_compiled(compiled)
+    kept = _boundary_uids(compiled.program)
+    assert ran_before - kept, "minimization removed no boundary that runs"
+    assert _boundaries_run(compiled.program) <= kept
