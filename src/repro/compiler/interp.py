@@ -13,20 +13,18 @@ a :class:`~repro.trace.TraceEvent`, or a whole batch per
 * multi-threaded scheduling: ``step`` returns ``None`` when the thread is
   blocked on a lock, letting a scheduler interleave threads.
 
-Execution is driven by a precompiled dispatch table: at
-:func:`~repro.compiler.pipeline.compile_program` time (or lazily on first
-execution) every basic block is lowered once into a list of flat code
-tuples — a small-integer opcode plus pre-resolved operands (wrapped
-immediates, a specialized binop function, pre-parsed checkpoint slots,
-callee parameter tuples).  :meth:`ThreadVM.step` is a thin wrapper that
-indexes an opcode → bound-handler table with the tuple's code;
-:meth:`ThreadVM.run_fast` executes a whole batch of instructions in one
-inline loop over the same tuples, surfacing only the instructions the
-outer machine must see (LOCK / ATOMIC_RMW / FENCE / BOUNDARY / IO).  The
-batched loop is byte-for-bit equivalent to repeated ``step`` calls — the
-parity property suites (tests/core, tests/compiler) pin that equivalence
-across random programs, and it is the soundness argument for keeping two
-loops.
+Execution is driven by a precompiled dispatch table: every basic block is
+lowered once into a list of flat code tuples — a small-integer opcode
+plus pre-resolved operands (wrapped immediates, a specialized binop
+function, pre-parsed checkpoint slots, callee parameter tuples).
+:meth:`ThreadVM.step` is a thin wrapper that indexes an opcode →
+bound-handler table with the tuple's code; :meth:`ThreadVM.run_fast`
+executes a whole batch of instructions in one inline loop over the same
+tuples, surfacing only the instructions the outer machine must see
+(LOCK / ATOMIC_RMW / FENCE / BOUNDARY / IO).  The batched loop is
+byte-for-bit equivalent to repeated ``step`` calls — the parity property
+suites (tests/core, tests/compiler) pin that equivalence across random
+programs, and it is the soundness argument for keeping two loops.
 
 Given a trace, ``run_fast`` also records the events those ``step`` calls
 would have returned, as columns: a LOAD, STORE, CKPT or UNLOCK record,
@@ -34,11 +32,12 @@ preceded by the run of ALU instructions before it, and the trailing ALU
 run or the HALT at batch end.  Trace generation therefore runs at batch
 speed too; only the paused instructions go through ``step``.
 
-The dispatch cache lives on the :class:`~repro.compiler.ir.Program` and
-revalidates cheaply (length + terminator identity) on block entry, so the
-in-place block surgery the mutation self-test and the placement engine
-perform is picked up automatically; code that rewrites *fields* of an
-already-executed instruction must call :func:`invalidate_dispatch`.
+The dispatch table lives on the :class:`~repro.compiler.ir.Program` and
+has one rule: it is built when a compiled program is finished
+(:func:`~repro.compiler.pipeline.finish_compiled`), or once when a thread
+first runs a program that was never compiled, and code that edits a
+finished program finishes it again.  The interpreter trusts the table:
+it never checks a block against its source instructions.
 
 Semantics notes: all arithmetic wraps to signed 64-bit; division/modulo by
 zero yield 0 (no traps — power failure is the only "exception" this system
@@ -74,7 +73,6 @@ __all__ = [
     "run_single",
     "run_threads",
     "precompile_dispatch",
-    "invalidate_dispatch",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -205,6 +203,8 @@ _C_PAUSE = C_LOCK
 
 #: one compiled instruction: (numeric code, source Instr, *pre-resolved)
 Code = Tuple[Any, ...]
+#: a program's dispatch table: function -> block label -> code
+Dispatch = Dict[str, Dict[str, List[Code]]]
 
 
 def _compile_instr(instr: Instr) -> Code:
@@ -262,28 +262,17 @@ def _compile_instr(instr: Instr) -> Code:
     raise ValueError("unknown opcode %r" % op)
 
 
-def _compile_block(instrs: List[Instr]) -> List[Code]:
-    return [_compile_instr(i) for i in instrs]
-
-
-def precompile_dispatch(program: Program) -> None:
-    """Lower every basic block of ``program`` to dispatch code now —
-    called once from :func:`~repro.compiler.pipeline.compile_program` so
-    execution never pays the lowering lazily."""
-    dispatch: Dict[str, Dict[str, List[Code]]] = {}
+def precompile_dispatch(program: Program) -> Dispatch:
+    """Lower every basic block of ``program`` to dispatch code, store the
+    table on the program and return it."""
+    dispatch: Dispatch = {}
     for fname, func in program.functions.items():
         dispatch[fname] = {
-            label: _compile_block(block.instrs)
+            label: [_compile_instr(i) for i in block.instrs]
             for label, block in func.blocks.items()
         }
     program._dispatch = dispatch
-
-
-def invalidate_dispatch(program: Program) -> None:
-    """Drop the dispatch cache.  Needed only when code mutates *fields*
-    of an already-executed instruction in place; block-level insertion or
-    deletion is caught by the fetch-time revalidation."""
-    program._dispatch = None
+    return dispatch
 
 
 class WordMemory:
@@ -346,6 +335,11 @@ class ThreadVM:
         locks: Optional[LockTable] = None,
     ) -> None:
         self.program = program
+        dispatch = program._dispatch
+        #: the program's dispatch table, lowered here if it never was
+        self.dispatch: Dispatch = (
+            dispatch if dispatch is not None else precompile_dispatch(program)
+        )
         self.memory = memory if memory is not None else WordMemory()
         self.tid = tid
         self.locks = locks if locks is not None else LockTable()
@@ -384,28 +378,6 @@ class ThreadVM:
         return (self.func_name, self.block, self.index)
 
     # ------------------------------------------------------------------
-    def _code_for(self, func_name: str, label: str) -> List[Code]:
-        """The block's compiled code, (re)lowering when the cache is cold
-        or the block was edited in place (length / terminator identity)."""
-        program = self.program
-        dispatch = program._dispatch
-        if dispatch is None:
-            dispatch = program._dispatch = {}
-        fcode = dispatch.get(func_name)
-        if fcode is None:
-            fcode = dispatch[func_name] = {}
-        code = fcode.get(label)
-        instrs = program.functions[func_name].blocks[label].instrs
-        if (
-            code is None
-            or len(code) != len(instrs)
-            or (len(code) != 0 and code[-1][1] is not instrs[-1])
-        ):
-            code = _compile_block(instrs)
-            fcode[label] = code
-        return code
-
-    # ------------------------------------------------------------------
     def step(self) -> Optional[TraceEvent]:
         """Execute one instruction.  Returns the trace event, ``None``
         when blocked on a lock, or a HALT event exactly once at the end.
@@ -414,7 +386,7 @@ class ThreadVM:
         instruction's code tuple selects a bound handler."""
         if self.halted:
             return None
-        code = self._code_for(self.func_name, self.block)[self.index]
+        code = self.dispatch[self.func_name][self.block][self.index]
         handler = _HANDLERS[code[0]]
         return handler(self, code)
 
@@ -635,9 +607,13 @@ class ThreadVM:
         tid = self.tid
         ckpt_base = tid * Program.CHECKPOINT_WORDS_PER_CORE
         functions = self.program.functions
+        dispatch = self.dispatch
         func_name = self.func_name
         label = self.block
-        code = self._code_for(func_name, label)
+        # the current function's label -> code map: BR and CBR index
+        # it, CALL and RET switch it
+        fcode = dispatch[func_name]
+        code = fcode[label]
         index = self.index
         n = 0
         reason = "limit"
@@ -645,11 +621,6 @@ class ThreadVM:
         last = 0  # n just past the last recorded instruction
         stamp = store_steps.append if store_steps is not None else None
         steps0 = self.steps
-        # Per-call block cache: blocks cannot be edited while this loop
-        # runs, so each (re)validated code list is reused for every
-        # re-entry (loop back-edges dominate).  Cleared on function
-        # change so labels never collide across functions.
-        bcache: Dict[str, List[Code]] = {label: code}
         while n < limit:
             c = code[index]
             k = c[0]
@@ -695,9 +666,7 @@ class ThreadVM:
                 if type(v) is str:
                     v = regs.get(v, 0)
                 label = c[3] if v != 0 else c[4]
-                code = bcache.get(label)
-                if code is None:
-                    code = bcache[label] = self._code_for(func_name, label)
+                code = fcode[label]
                 index = 0
             elif k == C_MOV:
                 v = c[3]
@@ -707,9 +676,7 @@ class ThreadVM:
                 index += 1
             elif k == C_BR:
                 label = c[2]
-                code = bcache.get(label)
-                if code is None:
-                    code = bcache[label] = self._code_for(func_name, label)
+                code = fcode[label]
                 index = 0
             elif k == C_CKPT:
                 ri = c[3]
@@ -736,8 +703,8 @@ class ThreadVM:
                 regs = new_regs
                 func_name = c[2]
                 label = callee.entry
-                code = self._code_for(func_name, label)
-                bcache = {label: code}
+                fcode = dispatch[func_name]
+                code = fcode[label]
                 index = 0
             elif k == C_RET:
                 v = c[2]
@@ -754,8 +721,8 @@ class ThreadVM:
                     regs[frame.ret_reg] = v
                 func_name = frame.func
                 label = frame.block
-                code = self._code_for(func_name, label)
-                bcache = {label: code}
+                fcode = dispatch[func_name]
+                code = fcode[label]
                 index = frame.index
             elif k == C_NOP:
                 index += 1

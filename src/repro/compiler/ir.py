@@ -308,8 +308,11 @@ class Program:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, Tuple[int, int]] = {}  # name -> (base, words)
         self._next_addr = self.CHECKPOINT_WORDS_PER_CORE * self.MAX_CONTEXTS
-        #: interpreter dispatch cache: func -> label -> compiled code
-        #: tuples (see repro.compiler.interp); revalidated on block entry
+        #: interpreter dispatch table: func -> label -> compiled code
+        #: tuples (see repro.compiler.interp).  Built when a compiled
+        #: program is finished, or once when a thread first runs a
+        #: program that was never compiled; code that edits a finished
+        #: program finishes it again, since nothing rechecks the table.
         self._dispatch: Optional[Dict[str, Dict[str, List[Tuple[Any, ...]]]]] = None
 
     # ------------------------------------------------------------------

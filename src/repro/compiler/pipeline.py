@@ -16,9 +16,8 @@ dynamic counterparts).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..config import CompilerConfig
 from .boundaries import (
@@ -39,29 +38,19 @@ __all__ = [
     "CompileStats",
     "compile_program",
     "clone_program",
+    "finish_compiled",
     "set_default_verify",
 ]
 
-#: process-wide default for post-compile verification; None falls back to
-#: the REPRO_VERIFY environment variable (tests/conftest.py turns it on
-#: for the whole suite).
-_DEFAULT_VERIFY: Optional[bool] = None
+#: process-wide default for post-compile verification (tests/conftest.py
+#: turns it on for the whole suite)
+_DEFAULT_VERIFY = False
 
 
-def set_default_verify(enabled: Optional[bool]) -> None:
-    """Set the process-wide default for ``compile_program(verify=None)``.
-
-    ``None`` restores the environment-driven default (``REPRO_VERIFY``)."""
+def set_default_verify(enabled: bool) -> None:
+    """Set the process-wide default for ``compile_program(verify=None)``."""
     global _DEFAULT_VERIFY
     _DEFAULT_VERIFY = enabled
-
-
-def _verify_enabled(verify: Optional[bool]) -> bool:
-    if verify is not None:
-        return verify
-    if _DEFAULT_VERIFY is not None:
-        return _DEFAULT_VERIFY
-    return os.environ.get("REPRO_VERIFY", "") not in ("", "0", "false", "off")
 
 
 @dataclass
@@ -96,8 +85,6 @@ class CompiledProgram:
     plans: Dict[int, RecoveryPlan]
     stats: CompileStats
     config: CompilerConfig
-    #: boundary uid -> (function name, block label, index of the boundary)
-    boundary_sites: Dict[int, Tuple[str, str, int]] = field(default_factory=dict)
 
     def plan_for(self, boundary_uid: int) -> RecoveryPlan:
         return self.plans.get(boundary_uid, RecoveryPlan(boundary_uid))
@@ -119,6 +106,26 @@ def clone_program(program: Program) -> Program:
     return new
 
 
+def finish_compiled(compiled: CompiledProgram) -> None:
+    """Finish a compiled program: count its boundaries, checkpoint stores
+    and data stores into ``compiled.stats``, validate it, and lower it
+    for the interpreter.  Every function that produces or edits a
+    compiled program ends here, since the interpreter trusts the lowered
+    table and never rechecks it against the blocks."""
+    stats = compiled.stats
+    stats.boundaries = stats.checkpoint_stores = stats.data_stores = 0
+    for func in compiled.program.functions.values():
+        for instr in func.instructions():
+            if instr.op == Op.BOUNDARY:
+                stats.boundaries += 1
+            elif instr.op == Op.CHECKPOINT:
+                stats.checkpoint_stores += 1
+            elif instr.op in (Op.STORE, Op.ATOMIC_RMW):
+                stats.data_stores += 1
+    compiled.program.validate()
+    precompile_dispatch(compiled.program)
+
+
 def compile_program(
     program: Program,
     config: Optional[CompilerConfig] = None,
@@ -129,8 +136,8 @@ def compile_program(
     ``verify=True`` re-checks the output with the independent static
     verifier (:mod:`repro.verify`) and raises
     :class:`~repro.verify.VerificationError` on any rule violation.
-    ``verify=None`` defers to :func:`set_default_verify` and then the
-    ``REPRO_VERIFY`` environment variable; the default is off."""
+    ``verify=None`` defers to :func:`set_default_verify`, which is off
+    by default."""
     config = config or CompilerConfig()
     program.validate()
     prog = clone_program(program)
@@ -140,24 +147,16 @@ def compile_program(
     for func in prog.functions.values():
         _compile_function(func, config, stats, plans)
 
-    # Gather program-level counts and boundary site map.
     compiled = CompiledProgram(program=prog, plans=plans, stats=stats, config=config)
-    for fname, func in prog.functions.items():
-        for label in func.block_order():
-            for idx, instr in enumerate(func.blocks[label].instrs):
-                if instr.op == Op.BOUNDARY:
-                    stats.boundaries += 1
-                    compiled.boundary_sites[instr.uid] = (fname, label, idx)
-                elif instr.op == Op.CHECKPOINT:
-                    stats.checkpoint_stores += 1
-                elif instr.op in (Op.STORE, Op.ATOMIC_RMW):
-                    stats.data_stores += 1
+    for func in prog.functions.values():
         stats.max_region_stores = max(
             stats.max_region_stores, max_region_store_count(func)
         )
-    prog.validate()
+    finish_compiled(compiled)
 
-    if _verify_enabled(verify):
+    if verify is None:
+        verify = _DEFAULT_VERIFY
+    if verify:
         # Imported lazily: repro.verify audits this module's output and
         # importing it at module scope would be circular.
         from ..verify import VerificationError, verify_compiled
@@ -165,10 +164,6 @@ def compile_program(
         report = verify_compiled(compiled)
         if not report.ok:
             raise VerificationError(report)
-
-    # Lower every block to interpreter dispatch code now, so runs never
-    # pay it lazily.
-    precompile_dispatch(prog)
     return compiled
 
 

@@ -158,7 +158,6 @@ class _Core:
     time: float = 0.0
     region: int = -1
     stores_in_region: int = 0
-    region_start_time: float = 0.0
     done: bool = False
     parked: bool = False
     # front-end buffer: deque of entry records [departure_or_None, block]
@@ -171,9 +170,8 @@ class _Core:
     selector: Optional[VictimSelector] = None
     #: records pending WPQ admission: [entry_record, mc, region, word, arr]
     waiting: List[List] = field(default_factory=list)
-    #: parked reason: "fe" | "commit" | "lock"
+    #: parked reason: "fe" | "lock"
     park_reason: str = ""
-    park_region: int = -1
     park_lock: int = -1
 
 
@@ -233,7 +231,6 @@ class TimingEngine:
         self._next_region = 0
         self._lock_owner: Dict[int, Optional[int]] = {}
         self._lock_release: Dict[int, float] = {}
-        self._region_issue_time: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     def run(self, trace: Union[Trace, Iterable[TraceEvent]]) -> SimResult:
@@ -366,7 +363,6 @@ class TimingEngine:
         region = self._next_region
         self._next_region += 1
         core.stores_in_region = 0
-        core.region_start_time = core.time
         return region
 
     def _step(self, core: _Core) -> bool:
@@ -447,8 +443,6 @@ class TimingEngine:
                 woke_others = True
             core.time += cpi + LOCK_OP_CYCLES
 
-        if core.parked:
-            return False
         core.index += 1
         return woke_others
 
@@ -525,10 +519,8 @@ class TimingEngine:
     def _ensure_fe_slot(self, core: _Core) -> bool:
         """Free or wait for a front-end buffer slot.  Returns False after
         parking the core when the head entry's WPQ admission is unknown."""
-        fe_cap = self._fe_entries
-        while core.fe and core.fe[0][0] is not None and core.fe[0][0] <= core.time:
-            self._inflight_remove(core, core.fe.popleft()[1])
-        if len(core.fe) < fe_cap:
+        self._prune_inflight(core)
+        if len(core.fe) < self._fe_entries:
             return True
         head = core.fe[0]
         if head[0] is None:
@@ -585,7 +577,6 @@ class TimingEngine:
         pipeline advanced (slot releases published)."""
         region = core.region
         issue = core.time
-        self._region_issue_time[region] = issue
         self.result.regions += 1
         core.time += self.policy.region_comm_cycles
         # Eq. 1's Tp: the persistence latency a scheme with *no* hiding
@@ -597,6 +588,7 @@ class TimingEngine:
         )
 
         if self.policy.gated:
+            # No wait here: __init__ rejects a gated boundary_wait policy.
             # broadcast = boundary entry's WPQ arrival + NoC hop; the last
             # appended FE record is the boundary store (explicit case) —
             # for implicit regions use the core clock.
@@ -608,16 +600,6 @@ class TimingEngine:
             before = self.pipeline.next_commit
             self.pipeline.boundary(region, broadcast)
             advanced = self.pipeline.next_commit != before
-            if self.policy.boundary_wait:
-                end = self.pipeline.commit_end.get(region)
-                if end is None:
-                    core.region = self._alloc_region(core)
-                    self._park(core, "commit", region=region)
-                    return advanced
-                stall = max(0.0, end - core.time)
-                core.time += stall
-                self.result.boundary_stall += stall
-                self.result.persist_waited += stall
         else:
             source = (
                 "eager_flush_done" if self.policy.wait_for == "flush" else "eager_done"
@@ -645,10 +627,9 @@ class TimingEngine:
     # ------------------------------------------------------------------
     # parking / waking
     # ------------------------------------------------------------------
-    def _park(self, core: _Core, reason: str, region: int = -1, lock: int = -1) -> None:
+    def _park(self, core: _Core, reason: str, lock: int = -1) -> None:
         core.parked = True
         core.park_reason = reason
-        core.park_region = region
         core.park_lock = lock
 
     def _retry_waiting(self) -> None:
@@ -674,17 +655,6 @@ class TimingEngine:
             if core.park_reason == "fe":
                 if core.fe and core.fe[0][0] is not None:
                     core.parked = False
-                    heapq.heappush(ready, (core.time, core.cid))
-                    woke = True
-            elif core.park_reason == "commit":
-                end = self.pipeline.commit_end.get(core.park_region)
-                if end is not None:
-                    stall = max(0.0, end - core.time)
-                    core.time += stall
-                    self.result.boundary_stall += stall
-                    self.result.persist_waited += stall
-                    core.parked = False
-                    core.index += 1  # the boundary event completes now
                     heapq.heappush(ready, (core.time, core.cid))
                     woke = True
             elif core.park_reason == "lock":

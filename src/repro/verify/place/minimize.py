@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from ...compiler.ir import Function, Op
-from ...compiler.pipeline import CompiledProgram
+from ...compiler.pipeline import CompiledProgram, finish_compiled
 from ..model import Diagnostic, VerifyConfig
 from ..verifier import derive_config, verify_function, verify_program
 from .report import KeptBoundary, PlacementAction, PlacementReport
@@ -183,19 +183,10 @@ def minimize_compiled(
                         )
                     )
 
-    # Recount instrumentation and rebuild the uid -> site map.
+    # Finish the edited program again: the interpreter trusts the
+    # dispatch table the compile lowered, and never rechecks it.
+    finish_compiled(compiled)
     stats = compiled.stats
-    stats.boundaries = 0
-    stats.checkpoint_stores = 0
-    compiled.boundary_sites.clear()
-    for fname, func in prog.functions.items():
-        for label in func.block_order():
-            for idx, instr in enumerate(func.blocks[label].instrs):
-                if instr.op == Op.BOUNDARY:
-                    stats.boundaries += 1
-                    compiled.boundary_sites[instr.uid] = (fname, label, idx)
-                elif instr.op == Op.CHECKPOINT:
-                    stats.checkpoint_stores += 1
     stats.minimized_boundaries = boundaries_before - stats.boundaries
 
     final = verify_program(prog, compiled.plans, cfg)

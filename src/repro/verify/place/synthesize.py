@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...compiler.checkpoints import RecoveryPlan
 from ...compiler.ir import Function, Instr, Op, Program
-from ...compiler.pipeline import CompiledProgram, CompileStats, clone_program
+from ...compiler.pipeline import CompiledProgram, CompileStats, clone_program, finish_compiled
 from ...config import CompilerConfig
 from ..graph import InstrGraph
 from ..liveness import InstrLiveness
@@ -341,17 +341,7 @@ def synthesize_placement(
     compiled = CompiledProgram(
         program=prog, plans=plans, stats=stats, config=out_config,
     )
-    for fname, func in prog.functions.items():
-        for label in func.block_order():
-            for idx, instr in enumerate(func.blocks[label].instrs):
-                if instr.op == Op.BOUNDARY:
-                    stats.boundaries += 1
-                    compiled.boundary_sites[instr.uid] = (fname, label, idx)
-                elif instr.op == Op.CHECKPOINT:
-                    stats.checkpoint_stores += 1
-                elif instr.op in (Op.STORE, Op.ATOMIC_RMW):
-                    stats.data_stores += 1
-    prog.validate()
+    finish_compiled(compiled)
 
     cfg = VerifyConfig(
         threshold=budget,

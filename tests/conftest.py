@@ -20,4 +20,4 @@ def _verify_compiles():
 
     set_default_verify(True)
     yield
-    set_default_verify(None)
+    set_default_verify(False)

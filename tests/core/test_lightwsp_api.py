@@ -7,7 +7,7 @@ import pytest
 from helpers import locking_program, saxpy_program
 
 from repro.analysis.experiments import trace_of
-from repro.compiler import compile_program
+from repro.compiler import Op, compile_program
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.runtime import CAPRI, LIGHTWSP, PPA
 from repro.sim.engine import simulate
@@ -38,10 +38,16 @@ class TestTraceOf:
         assert tids == {0, 1}
 
     def test_boundary_uids_match_sites(self, compiled):
+        uids = {
+            instr.uid
+            for func in compiled.program.functions.values()
+            for instr in func.instructions()
+            if instr.op == Op.BOUNDARY
+        }
         events = trace_of(compiled.program)
         for e in events:
             if e.kind == EK.BOUNDARY:
-                assert e.boundary_uid in compiled.boundary_sites
+                assert e.boundary_uid in uids
 
 
 class TestSimulateLightwsp:

@@ -80,16 +80,6 @@ class TestPipelineGate:
         finally:
             set_default_verify(True)  # conftest default for the suite
 
-    def test_env_fallback(self, monkeypatch):
-        try:
-            set_default_verify(None)
-            monkeypatch.setenv("REPRO_VERIFY", "0")
-            compile_program(saxpy_program(n=8), CompilerConfig())
-            monkeypatch.setenv("REPRO_VERIFY", "1")
-            compile_program(saxpy_program(n=8), CompilerConfig())
-        finally:
-            set_default_verify(True)
-
     def test_gate_raises_on_violation(self):
         # Feed the verifier a program the pipeline never instrumented by
         # bypassing compilation: the gate must raise, with the report
