@@ -2,7 +2,7 @@
 region-ID management, and recovery."""
 
 from .failure import crash_sweep, reference_pm, run_with_crashes
-from .machine import Continuation, MachineStats, PersistentMachine
+from .machine import MachineStats, PersistentMachine
 from .recovery import evaluate_recipe, rebuild_registers
 from .regionid import RegionIdAllocator
 from .wpq import FunctionalWPQ, WPQFullError
@@ -11,7 +11,6 @@ __all__ = [
     "crash_sweep",
     "reference_pm",
     "run_with_crashes",
-    "Continuation",
     "MachineStats",
     "PersistentMachine",
     "evaluate_recipe",
