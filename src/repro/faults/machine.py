@@ -289,8 +289,10 @@ class FaultyMachine(PersistentMachine):
         return self._ack_due.get(self.persist.committed_upto)
 
     def _commit_flush(self, region: int) -> None:
+        # direct base calls on the per-region path: a zero-argument
+        # super() builds an object per call
         if not self.persist.gated:
-            super()._commit_flush(region)
+            PersistentMachine._commit_flush(self, region)
             return
         self._ack_due.pop(region, None)
         if self._battery_powered:
@@ -300,7 +302,7 @@ class FaultyMachine(PersistentMachine):
                         self._drain_one(word, value)
             return
         if self.defenses.ack_wait:
-            super()._commit_flush(region)
+            PersistentMachine._commit_flush(self, region)
             return
         # ack_wait off: only the MCs that saw the boundary flush; the
         # others keep the region quarantined (they never learned it ended)
@@ -334,7 +336,7 @@ class FaultyMachine(PersistentMachine):
             if not kept:
                 return
             stores = kept
-        super()._admit_stores(region, stores)
+        PersistentMachine._admit_stores(self, region, stores)
 
     def _resolve_full(self, wpq, region, word, value) -> None:
         # with the undo-logging defense off, the §IV-D overflow flush
