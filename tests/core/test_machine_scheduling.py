@@ -41,35 +41,39 @@ class TestScheduling:
 
 class TestRegionIdOrdering:
     def test_critical_section_ids_respect_lock_order(self):
-        """Record (tid, region) at every store inside the critical
-        section; for the shared counter's address, region IDs must be
-        strictly increasing in commit order across ALL threads — the
-        §IV-C happens-before property."""
-        prog, machine = machine_for(n_threads=3, increments=3)
-        shared_word = prog.base_of("shared")
+        """Record the storing thread's region at every store inside the
+        critical section; for the shared counter's address, region IDs
+        must be strictly increasing in commit order across ALL threads —
+        the §IV-C happens-before property.  Under ``run()`` and under
+        ``step()`` alike."""
+        recorded = []
+        for drive in ("run", "step"):
+            prog, machine = machine_for(n_threads=3, increments=3)
+            shared_word = prog.base_of("shared")
+            cs_regions = []
+            write = machine.volatile.write
 
-        cs_regions = []
-        persist = machine.persist
-        admit, admit_many = persist.admit, persist.admit_many
+            # every store writes volatile memory while its thread's
+            # current region is the one it persists under, whichever
+            # path (per-event admission or a bulk-settled batch) later
+            # moves it to PM
+            def spy_write(addr, value):
+                if addr == shared_word:
+                    cs_regions.append(
+                        machine.allocator.region_of(machine._stepping_tid)
+                    )
+                write(addr, value)
 
-        # every store reaches the runtime through exactly one of these,
-        # tagged with its region (admit_many never calls admit)
-        def spy_admit(region, word, value):
-            if word == shared_word:
-                cs_regions.append(region)
-            return admit(region, word, value)
-
-        def spy_admit_many(region, stores):
-            cs_regions.extend(
-                region for word, _ in stores if word == shared_word
-            )
-            return admit_many(region, stores)
-
-        persist.admit = spy_admit
-        persist.admit_many = spy_admit_many
-        machine.run()
-        assert cs_regions == sorted(cs_regions)
-        assert len(cs_regions) == 9
+            machine.volatile.write = spy_write
+            if drive == "run":
+                machine.run()
+            else:
+                while machine.step() is not None:
+                    pass
+            assert cs_regions == sorted(cs_regions)
+            assert len(cs_regions) == 9
+            recorded.append(cs_regions)
+        assert recorded[0] == recorded[1]
 
     def test_sync_refresh_allocates_fresh_ids(self):
         prog, machine = machine_for(n_threads=2, increments=2)
