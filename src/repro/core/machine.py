@@ -308,6 +308,34 @@ class PersistentMachine:
         halts; FaultyMachine returns its ACK schedule's entry."""
         return None
 
+    # -- the bulk settle's view of the same protocol (see _settle_clean) --
+    #: steps from a boundary's broadcast to its region's flush-ACK
+    _ack_latency = 0
+
+    def _clean(self) -> bool:
+        """Whether the next batch may settle in bulk: a gated backend
+        (the LRPO runtime), and on FaultyMachine a clean interconnect.
+        Only calls made between batches change the answer."""
+        return self.persist.gated
+
+    def _issued_due(
+        self, region: int, first_mark: Optional[int]
+    ) -> Optional[int]:
+        """The step at which a region broadcast before the batch may
+        commit, or None if it may not.  The base machine tries commits
+        only at boundaries, so at the batch's first mark."""
+        if region in self.persist.boundary_issued:
+            return first_mark
+        return None
+
+    def _broadcasts_settled(
+        self, marks: List[Tuple[int, int, int]], k: int, upto: int
+    ) -> None:
+        """The bulk settle's broadcast bookkeeping: every mark's region
+        was broadcast, those of ``marks[k:]`` stay uncommitted, and every
+        region below ``upto`` has committed.  The base machine keeps
+        none beyond the runtime's ``boundary_issued``."""
+
     def _try_commit(self) -> None:
         persist = self.persist
         stats = self.stats
@@ -512,7 +540,15 @@ class PersistentMachine:
 
         ``due`` is the commit candidate's ACK due step: only a commit or
         a broadcast changes it, never an admission, so :meth:`_mature`
-        runs only once a store or a mark reaches it."""
+        runs only once a store or a mark reaches it.
+
+        On a clean machine (:meth:`_clean`) :meth:`_settle_clean`
+        computes the same net effect once per batch instead; this
+        per-event walk runs when it cannot."""
+        if self._clean() and self._settle_clean(
+            tid, stores, store_steps, base, marks, end
+        ):
+            return
         lo = 0
         due = self._next_ack_due()
         tail = (len(stores), -1, self.allocator.region_of(tid))
@@ -550,6 +586,110 @@ class PersistentMachine:
                 break  # nothing committed: only a broadcast changes that
             due = after
         return due
+
+    def _settle_clean(
+        self,
+        tid: int,
+        stores: List[Tuple[int, int]],
+        store_steps: List[int],
+        base: int,
+        marks: List[Tuple[int, int, int]],
+        end: int,
+    ) -> bool:
+        """:meth:`_settle` once per batch on a clean machine: the regions
+        that end and commit inside the batch reach PM as slices of
+        ``stores`` and never enter the WPQs.  Returns False, having
+        changed nothing, when a WPQ would overflow; the per-event settle
+        then runs the §IV-D fallback where it fires.
+
+        Regions commit in ID order from ``committed_upto``, each at the
+        later of its due step and the previous commit's step, up to the
+        first region with no due step or one past ``end``.  A mark's
+        region is due ``_ack_latency`` steps after its boundary, one
+        broadcast before the batch at :meth:`_issued_due`.  A store
+        stamped ``k`` is admitted after every commit at a step ``<= k``
+        and a queue grows only between commits, so each WPQ peaks just
+        before a commit step or at the batch end.  Its count there is
+        computed only where the largest queue plus the batch's
+        uncommitted stores could pass the running peak."""
+        persist = self.persist
+        wpqs = persist.wpqs
+        latency = self._ack_latency
+        issued_due = self._issued_due
+        first_mark = marks[0][1] if marks else None
+        n_marks = len(marks)
+        # the queues' pre-batch counts, less the runs of committed regions
+        counts = [len(wpq) for wpq in wpqs]
+        top = max(counts)
+        queued = {region for wpq in wpqs for region in wpq.runs}
+        peak = self.stats.max_wpq_occupancy
+        capacity = wpqs[0].capacity
+        mc_of = self._mc_of_word
+        start = region = persist.committed_upto
+        at: List[int] = []  # commit steps of regions start, start + 1, ...
+        # (position, region): a committing region's queued runs reach PM
+        # after stores[:position]
+        flushes: List[Tuple[int, int]] = []
+        # marks[:k] ended regions that have committed, whose stores
+        # are stores[:done]
+        k = done = 0
+        admitted = 0  # stores admitted before the latest commit step
+        last = -1  # the latest commit step
+        while True:
+            mark = k < n_marks and marks[k][2] == region
+            if mark:
+                due = marks[k][1] + latency
+            else:
+                due = issued_due(region, first_mark)
+            if due is not None and due > end:
+                due = None
+            if due is None or due > last:
+                # a commit step, or the batch end: every queue peaks here
+                admitted = (
+                    len(stores) if due is None
+                    else bisect_left(store_steps, due - base, admitted)
+                )
+                if top + admitted - done > peak:
+                    window = [mc_of(word) for word, _ in stores[done:admitted]]
+                    for mc, count in enumerate(counts):
+                        count += window.count(mc)
+                        if count > peak:
+                            if count > capacity:
+                                return False
+                            peak = count
+                if due is None:
+                    break
+                last = due
+            at.append(last)
+            if region in queued:
+                flushes.append((done, region))
+                for mc, wpq in enumerate(wpqs):
+                    counts[mc] -= len(wpq.runs.get(region, ()))
+                top = max(counts)
+            if mark:
+                done = marks[k][0]
+                k += 1
+            region += 1
+
+        # it fits: settle
+        persist.commit_through(region, stores, done, flushes)
+        lo = done
+        for hi, _, ended in marks[k:]:
+            persist.region_ended(ended)
+            if hi > lo:
+                persist.queue(ended, stores[lo:hi])
+                lo = hi
+        if len(stores) > lo:
+            persist.queue(self.allocator.region_of(tid), stores[lo:])
+        self._broadcasts_settled(marks, k, region)
+        stats = self.stats
+        stats.stores += len(stores)
+        stats.commits += region - start
+        stats.max_wpq_occupancy = peak
+        if stats.commit_steps is not None:
+            stats.commit_steps.extend(zip(range(start, region), at))
+        stats.steps = end
+        return True
 
     @property
     def finished(self) -> bool:

@@ -152,21 +152,6 @@ class FaultyMachine(PersistentMachine):
             return
         self.persist.region_ended(region)
         self._boundary_seq += 1
-        if (
-            not self._armed_msgs
-            and not self._pending_msgs
-            and not self.down_mcs
-            and region >= self.persist.committed_upto
-        ):
-            # Clean interconnect, no straggler: every MC sees the
-            # boundary now and the ACK matures one latency later —
-            # the generic per-MC _deliver walk collapsed to its net
-            # effect (identical counters, identical ack schedule).
-            for seen in self.mc_seen:
-                seen.add(region)
-            if region not in self._ack_due and self.mc_seen:
-                self._ack_due[region] = self.stats.steps + ACK_LATENCY_STEPS
-            return
         self._deliver_due()
         for mc in range(len(self.mc_seen)):
             armed = self._take_armed_msg(mc)
@@ -287,6 +272,41 @@ class FaultyMachine(PersistentMachine):
         # the commit candidate's ACK schedule entry: only gated backends
         # broadcast boundaries as messages, so only they schedule ACKs
         return self._ack_due.get(self.persist.committed_upto)
+
+    # -- the bulk settle (PersistentMachine._settle_clean) --------------
+    _ack_latency = ACK_LATENCY_STEPS
+
+    def _clean(self) -> bool:
+        # every MC sees each boundary at its broadcast and ACKs it one
+        # latency later: nothing armed, queued or down, no battery or
+        # settling override, and the ACK waits for every MC.  Only
+        # arm_msg, mc_down, crash and finish_messages change this, and
+        # they run between batches.
+        return (
+            self.persist.gated
+            and self.defenses.ack_wait
+            and not self._armed_msgs
+            and not self._pending_msgs
+            and not self.down_mcs
+            and not self._battery_powered
+            and not self._settling
+        )
+
+    def _issued_due(self, region, first_mark):
+        return self._ack_due.get(region)
+
+    def _broadcasts_settled(self, marks, k, upto) -> None:
+        # what each mark's _deliver walk and each commit's _commit_flush
+        # leave on a clean interconnect
+        ack_due = self._ack_due
+        for region in [r for r in ack_due if r < upto]:
+            del ack_due[region]
+        for _, step, region in marks[k:]:
+            ack_due[region] = step + ACK_LATENCY_STEPS
+        ended = [mark[2] for mark in marks]
+        for seen in self.mc_seen:
+            seen.update(ended)
+        self._boundary_seq += len(marks)
 
     def _commit_flush(self, region: int) -> None:
         # direct base calls on the per-region path: a zero-argument

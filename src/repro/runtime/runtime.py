@@ -181,14 +181,14 @@ class LrpoRuntime(PersistRuntime):
             self.machine._resolve_full(wpq, region, word, value)
         return len(wpq)
 
-    def admit_many(self, region: int, stores: List[Tuple[int, int]]) -> int:
-        # Group by target MC, then bulk-admit each group: grouping keeps
-        # every WPQ's own arrival order (and hence its runs and length
-        # trajectory) exactly what the per-store loop produces, since
-        # words never alias across MCs.
-        machine = self.machine
-        mc_of = machine._mc_of_word
-        wpqs = self.wpqs
+    def _by_mc(
+        self, stores: List[Tuple[int, int]]
+    ) -> Dict[int, List[Tuple[int, int]]]:
+        """Group stores by target MC.  Grouping keeps every WPQ's own
+        arrival order (and hence its runs and length trajectory) exactly
+        what the per-store loop produces, since words never alias
+        across MCs."""
+        mc_of = self.machine._mc_of_word
         by_mc: Dict[int, List[Tuple[int, int]]] = {}
         for pair in stores:
             mc = mc_of(pair[0])
@@ -197,10 +197,14 @@ class LrpoRuntime(PersistRuntime):
                 by_mc[mc] = [pair]
             else:
                 group.append(pair)
-        resolve = machine._resolve_full
+        return by_mc
+
+    def admit_many(self, region: int, stores: List[Tuple[int, int]]) -> int:
+        wpqs = self.wpqs
+        resolve = self.machine._resolve_full
         full_error = self._full_error
         occupancy = 0
-        for mc, pairs in by_mc.items():
+        for mc, pairs in self._by_mc(stores).items():
             wpq = wpqs[mc]
             try:
                 length = wpq.put_many(region, pairs)
@@ -270,6 +274,46 @@ class LrpoRuntime(PersistRuntime):
         self.undo_log.pop(region, None)
         self.boundary_issued.discard(region)
         self.committed_upto = region + 1
+
+    # -- the machine's bulk settle (PersistentMachine._settle_clean) ----
+    def commit_through(
+        self,
+        upto: int,
+        stores: List[Tuple[int, int]],
+        done: int,
+        flushes: List[Tuple[int, int]],
+    ) -> None:
+        """Commit every region below ``upto`` at once, in ID order: the
+        same PM image and bookkeeping as :meth:`commit_flush` and
+        :meth:`mark_committed` per region.  ``stores[:done]`` is what
+        the batch's committing regions stored; each ``(position,
+        region)`` of ``flushes`` is a committing region with queued
+        runs, which reach PM after ``stores[:position]`` and before
+        the rest.  A word lives in one WPQ only, so one ``pm.update``
+        over a slice equals its per-MC runs."""
+        update = self.machine.pm.update
+        lo = 0
+        for hi, region in flushes:
+            if hi > lo:
+                update(stores[lo:hi])
+                lo = hi
+            for wpq in self.wpqs:
+                update(wpq.pop_region(region))
+        if done > lo:
+            update(stores[lo:done])
+        undo_log = self.undo_log
+        for region in [r for r in undo_log if r < upto]:
+            del undo_log[region]
+        issued = self.boundary_issued
+        issued.difference_update([r for r in issued if r < upto])
+        self.committed_upto = upto
+
+    def queue(self, region: int, stores: List[Tuple[int, int]]) -> None:
+        """Quarantine one region's stores, which the bulk settle has
+        checked fit: :meth:`admit_many` without its overflow fallback."""
+        wpqs = self.wpqs
+        for mc, pairs in self._by_mc(stores).items():
+            wpqs[mc].put_many(region, pairs)
 
     def region_durable(self, region: int) -> bool:
         return region < self.committed_upto

@@ -196,6 +196,30 @@ def double_store_program():
     return compile_program(prog), a
 
 
+def split_store_program():
+    """``main`` stores 1 and then 2 to one word in one region, calls an
+    empty leaf (whose boundaries end that region) and runs eight ALU
+    instructions before it returns."""
+    prog = Program("split_store")
+    a = prog.array("a", 8)
+    leaf = FunctionBuilder(prog, "leaf")
+    leaf.block("entry")
+    leaf.ret()
+    leaf.build()
+    fb = FunctionBuilder(prog, "main")
+    fb.block("entry")
+    fb.const("r1", 1)
+    fb.store("r1", 0, base=a)
+    fb.const("r1", 2)
+    fb.store("r1", 0, base=a)
+    fb.call("leaf")
+    for _ in range(8):
+        fb.add("r2", "r2", 1)
+    fb.ret()
+    fb.build()
+    return compile_program(prog), a
+
+
 class TestLastStoreWins:
     """A region's stores reach PM in arrival order, so a word it stores
     twice ends at the later value, whichever path moves the region."""
@@ -221,6 +245,27 @@ class TestLastStoreWins:
         assert word not in machine.pm
         report = machine.crash()
         assert report["flushed"] >= 1
+        assert machine.pm[word] == 2
+
+    @pytest.mark.parametrize("cls", [PersistentMachine, FaultyMachine])
+    def test_split_batch(self, cls):
+        # the first store's batch ends mid-region, so it waits in a WPQ;
+        # the second store's batch ends the region and commits it (a
+        # dozen steps pass after the boundary, past the flush-ACK), so
+        # the queued run and the batch's own slice reach PM together
+        compiled, word = split_store_program()
+        probe = cls(compiled)
+        while probe.volatile.words.get(word) != 1:
+            probe.step()
+        machine = cls(compiled)
+        machine.stats.commit_steps = []
+        machine.run(steps=probe.stats.steps)
+        region = machine.allocator.region_of(0)
+        assert sum(machine.wpq_occupancy()) > 0
+        assert word not in machine.pm
+        assert machine.run()
+        # committed before the halt, so inside the second batch
+        assert dict(machine.stats.commit_steps)[region] < machine.stats.steps
         assert machine.pm[word] == 2
 
 
