@@ -629,9 +629,9 @@ class ClusterSession:
                 "diverge from model %r"
                 % (shard_id, e, role, first_id, result.results, want)
             )
-        # cleared words stay as zeros: popping them would leave deleted
-        # slots, and a dict with those misses CPython's fast copy, which
-        # the executor makes twice per call (into PM and volatile memory)
+        # cleared words stay as zeros, which read exactly like absent
+        # words (the next epoch's PM layer reads this image as its base),
+        # so the delta folds in with one C-level update
         state.image.update(result.image)
         state.served += len(requests)
         state.epochs += 1

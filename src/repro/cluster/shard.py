@@ -8,13 +8,15 @@ Each shard is a full LightWSP store node — its own
 its own pluggable persist backend — but the executor holds **no** live
 machine between epochs: a shard's identity is its durable data
 (``image``, a word map) plus how many requests it has served.  Every
-epoch the executor boots a fresh machine from that image, seeds the
-request ring, runs the shared compiled store program (acknowledgement
-payloads are *local* indices the caller translates through the batch's
-``first_id``), and returns the *write delta*: only the data words whose
-durable value the batch changed or cleared, never the whole image.
-That makes :func:`execute_shard_epoch` a deterministic, picklable
-function of its arguments whose result costs what the batch wrote, with
+epoch the executor boots a fresh machine whose PM is a layer over that
+image (:class:`~repro.core.machine.PMLayer`: the image is read, never
+copied or written), seeds the request ring into the layer, runs the
+shared compiled store program (acknowledgement payloads are *local*
+indices the caller translates through the batch's ``first_id``), and
+returns the *write delta*: only the data words whose durable value the
+batch changed or cleared, never the whole image.  That makes
+:func:`execute_shard_epoch` a deterministic, picklable function of its
+arguments whose set-up and result both cost what the batch wrote, with
 bit-identical results wherever it runs.
 
 Three robustness guards live here, at the point of application:
@@ -50,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.pipeline import CompiledProgram
 from ..config import DEFAULT_CONFIG, SystemConfig
+from ..core.machine import PMLayer
 from ..faults.defenses import ALL_ON
 from ..faults.machine import FaultyMachine
 from ..faults.model import FaultEvent
@@ -190,11 +193,10 @@ def execute_shard_epoch(
         compiled, config=config, defenses=ALL_ON,
         max_steps=MAX_EPOCH_STEPS, backend=backend,
     )
-    machine.pm.update(image)
-    machine.volatile.words.update(image)
-    ring = request_words(layout, list(batch))
-    machine.pm.update(ring)
-    machine.volatile.words.update(ring)
+    # PM is this epoch's writes over the read-only image, the request
+    # ring first; volatile memory starts empty and reads through to PM
+    pm = machine.pm = PMLayer(image)
+    pm.update(request_words(layout, list(batch)))
     for event in msg_faults:
         machine.arm_msg(event)
     commit_steps: List[Tuple[int, int]] = []
@@ -234,16 +236,14 @@ def execute_shard_epoch(
     else:
         result.outcome = "ok"
         result.acked_local = all_acked
-    # only the ring and the words some store targeted can differ from
-    # the input image (see _HookedMemory.written)
-    pm_get = machine.pm.get
+    # the PM layer holds every word this epoch wrote to PM, the ring's
+    # included: the delta is its data words that differ from the image
     image_get = image.get
     result.image = {
-        w: pm_get(w, 0)
-        for w in machine.volatile.written.union(ring)
-        if w >= DATA_FLOOR and pm_get(w, 0) != image_get(w, 0)
+        w: v for w, v in pm.items()
+        if w >= DATA_FLOOR and v != image_get(w, 0)
     }
-    result.results = [pm_get(layout.out + i, 0) for i in range(len(batch))]
+    result.results = [pm.get(layout.out + i, 0) for i in range(len(batch))]
     commit_at = dict(commit_steps)
     ack_at: Dict[int, int] = {}
     for payload, region, _ in io_steps:
@@ -258,8 +258,10 @@ def execute_shard_epoch(
 
 
 def _release(machine: FaultyMachine) -> None:
-    """Drop a finished machine's word maps.  The machine is cyclic (its
-    memory and persist runtime point back at it), so without this only
-    a full collection would free them."""
-    machine.pm.clear()
-    machine.volatile.words.clear()
+    """Make a finished machine acyclic: drop the two references back to
+    it, from its volatile memory and from its persist runtime.  Reference
+    counting then frees the machine, its history, frames and WPQ runs as
+    soon as the executor returns, instead of leaving them to a full
+    collection."""
+    del machine.volatile._machine
+    del machine.persist.machine

@@ -41,7 +41,7 @@ from __future__ import annotations
 import copy
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..compiler.interp import NO_LOCKS, Frame, LockTable, ThreadVM, WordMemory
 from ..compiler.ir import Op, Program
@@ -53,7 +53,7 @@ from .recovery import rebuild_registers
 from .wpq import FunctionalWPQ
 from .regionid import RegionIdAllocator
 
-__all__ = ["PersistentMachine", "MachineStats"]
+__all__ = ["PersistentMachine", "MachineStats", "PMLayer"]
 
 #: the most steps one :meth:`PersistentMachine.run` batch retires: a long
 #: single-thread run with no sync instruction would otherwise buffer
@@ -100,6 +100,32 @@ class MachineStats:
     io_steps: Optional[List[Tuple[int, int, int]]] = None
 
 
+class PMLayer(Dict[int, int]):
+    """A PM image kept as a layer over a read-only ``base`` image: every
+    write lands in the layer, and a :meth:`get` that misses reads
+    ``base``.  The machine reads PM only through ``get``, so nothing else
+    is overridden: ``update`` stays the C-level ``dict.update`` the
+    commit path calls, and ``items()`` is exactly what was written over
+    ``base``.  The store-node executor runs each epoch over the shard
+    image this way instead of over a copy of it."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: Dict[int, int]) -> None:
+        super().__init__()
+        self.base = base
+
+    def get(self, word: int, default: Any = None) -> Any:
+        if word in self:
+            return self[word]
+        return self.base.get(word, default)
+
+    def copy(self) -> "PMLayer":
+        new = PMLayer(self.base)
+        new.update(self)
+        return new
+
+
 class _HookedMemory(WordMemory):
     """Volatile memory that routes every write through the machine's
     persistence model: admitted on the spot under
@@ -107,19 +133,25 @@ class _HookedMemory(WordMemory):
     buffer under :meth:`PersistentMachine.run`, whose settle admits it
     in step order.
 
-    ``written`` collects every word a store targeted.  Recovery, undo
-    rollback, torn writes and the battery drain only ever rewrite such
-    words, so it bounds the words whose PM value can have changed since
-    the machine booted (the cluster executor's write delta)."""
+    ``words`` holds only the words written since boot or since the last
+    crash, and a read that misses reads PM.  That is exact: outside a
+    crash every PM write (a commit or overflow flush, an eager scheme's
+    write-through, memory mode's final drain) targets a word some store
+    already wrote here, so an unwritten word's PM value is still the one
+    it had when ``words`` was last emptied."""
 
     def __init__(self, machine: "PersistentMachine") -> None:
         super().__init__()
         self._machine = machine
-        self.written: Set[int] = set()
+
+    def read(self, addr: int) -> int:
+        words = self.words
+        if addr in words:
+            return words[addr]
+        return self._machine.pm.get(addr, 0)
 
     def write(self, addr: int, value: int) -> None:
         self.words[addr] = value
-        self.written.add(addr)
         buf = self._machine._store_buf
         if buf is None:
             self._machine._on_store(addr, value)
@@ -746,7 +778,8 @@ class PersistentMachine:
         report["io_replayed"] += before_io - len(self.io_log)
 
     def _restore_threads(self) -> None:
-        self.volatile.words = dict(self.pm)  # caches are gone
+        # caches are gone: every read falls through to PM
+        self.volatile.words = {}
         self.locks = LockTable()
         self._halted_closed.clear()
 
@@ -808,10 +841,9 @@ class PersistentMachine:
         new.quantum = self.quantum
         new.max_steps = self.max_steps
         new.stats = copy.deepcopy(self.stats)
-        new.pm = dict(self.pm)
+        new.pm = self.pm.copy()  # a PMLayer keeps its base
         new.volatile = _HookedMemory(new)
         new.volatile.words = dict(self.volatile.words)
-        new.volatile.written = set(self.volatile.written)
         new.locks = self.locks.copy()
         new.allocator = copy.deepcopy(self.allocator)
         new.backend = self.backend

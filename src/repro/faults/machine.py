@@ -88,7 +88,8 @@ class FaultyMachine(PersistentMachine):
             backend=backend,
         )
         n_mcs = config.mc.n_mcs
-        #: per-MC set of region boundaries delivered (and ACKed)
+        #: per-MC set of the uncommitted regions whose boundary it has
+        #: been delivered (and ACKed); a region leaves at its commit
         self.mc_seen: List[Set[int]] = [set() for _ in range(n_mcs)]
         #: the ACK schedule, and the commit gate: region -> step at which
         #: its flush-ACK exchange completes.  An entry exists exactly while
@@ -303,9 +304,10 @@ class FaultyMachine(PersistentMachine):
             del ack_due[region]
         for _, step, region in marks[k:]:
             ack_due[region] = step + ACK_LATENCY_STEPS
-        ended = [mark[2] for mark in marks]
+        pending = [mark[2] for mark in marks[k:]]
         for seen in self.mc_seen:
-            seen.update(ended)
+            seen.difference_update([r for r in seen if r < upto])
+            seen.update(pending)
         self._boundary_seq += len(marks)
 
     def _commit_flush(self, region: int) -> None:
@@ -320,15 +322,19 @@ class FaultyMachine(PersistentMachine):
                 if region in self.mc_seen[mc]:
                     for word, value in wpq.pop_region(region):
                         self._drain_one(word, value)
-            return
-        if self.defenses.ack_wait:
+        elif self.defenses.ack_wait:
             PersistentMachine._commit_flush(self, region)
-            return
-        # ack_wait off: only the MCs that saw the boundary flush; the
-        # others keep the region quarantined (they never learned it ended)
-        for mc, wpq in enumerate(self.persist.wpqs):
-            if region in self.mc_seen[mc]:
-                self.pm.update(wpq.pop_region(region))
+        else:
+            # ack_wait off: only the MCs that saw the boundary flush; the
+            # others keep the region quarantined (they never learned it
+            # ended)
+            for mc, wpq in enumerate(self.persist.wpqs):
+                if region in self.mc_seen[mc]:
+                    self.pm.update(wpq.pop_region(region))
+        # a later delivery of a committed region is a straggler, which
+        # never reads the seen sets
+        for seen in self.mc_seen:
+            seen.discard(region)
 
     # ------------------------------------------------------------------
     # stores

@@ -1,5 +1,9 @@
 """The per-epoch shard executor: purity, the sequence fence,
-crash-means-finish recovery, and the write delta it returns."""
+crash-means-finish recovery, the write delta it returns, and the
+machine it frees."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -7,6 +11,7 @@ import repro.cluster.shard as shard_mod
 from repro.cluster import execute_shard_epoch
 from repro.compiler import compile_program
 from repro.config import DEFAULT_CONFIG
+from repro.faults.machine import FaultyMachine
 from repro.faults.model import FaultEvent
 from repro.store import StoreLayout, StoreModel, build_store_program
 from repro.store.layout import DATA_FLOOR, OP_DELETE, OP_GET, OP_PUT
@@ -59,6 +64,41 @@ class TestCleanEpoch:
         assert a.image == b.image
         assert a.results == b.results
         assert a.steps == b.steps
+
+    def test_leaves_the_callers_image_as_it_was(self, compiled_store):
+        # each epoch runs over the caller's image itself, as the base of
+        # its PM layer: a clean epoch, a cut and a torn cut must all
+        # leave it equal to a copy taken before the call
+        _, layout = compiled_store
+        batches = [
+            batch_of(4),
+            [(OP_DELETE, 2, 0), (OP_PUT, 3, 40), (OP_GET, 1, 0)],
+            batch_of(3, base_key=5),
+        ]
+        model, image, served = StoreModel(layout), {}, 0
+
+        def epoch(batch, cut=None):
+            before = dict(image)
+            result = run_epoch(
+                compiled_store, image=image, served=served, batch=batch,
+                first_id=served, base_model=model.copy(), cut=cut,
+            )
+            assert image == before, cut
+            assert not result.violations
+            return result
+
+        for batch in batches:
+            clean = epoch(batch)
+            step = clean.steps // 2
+            for cut in (
+                FaultEvent(kind="cut", step=step),
+                FaultEvent(kind="cut", step=step, torn_index=0),
+            ):
+                assert epoch(batch, cut).image == clean.image
+            image.update(clean.image)
+            model.apply_all(batch)
+            served += len(batch)
+        assert image, "the later epochs ran over a non-empty image"
 
     def test_chains_epochs_through_the_image(self, compiled_store):
         _, layout = compiled_store
@@ -134,9 +174,12 @@ class TestWriteDelta:
         release = shard_mod._release
 
         def capture(machine):
+            # PM is a layer over the input image: the layer's items are
+            # only this epoch's writes
+            whole = dict(machine.pm.base)
+            whole.update(machine.pm)
             durable.append({
-                w: v for w, v in machine.pm.items()
-                if w >= DATA_FLOOR and v
+                w: v for w, v in whole.items() if w >= DATA_FLOOR and v
             })
             release(machine)
 
@@ -169,3 +212,29 @@ class TestWriteDelta:
             image.update(clean.image)
             model.apply_all(batch)
             served += len(batch)
+
+
+class TestRelease:
+    def test_the_machine_is_freed_without_the_collector(
+        self, compiled_store, monkeypatch
+    ):
+        # the executor leaves its machine acyclic, so reference counting
+        # frees it (and its history, frames and WPQ runs) on return
+        refs = []
+
+        class Watched(FaultyMachine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(shard_mod, "FaultyMachine", Watched)
+        clean = run_epoch(compiled_store)
+        gc.collect()
+        gc.disable()
+        try:
+            for cut in (None, FaultEvent(kind="cut", step=clean.steps // 2)):
+                result = run_epoch(compiled_store, cut=cut)
+                assert result.image == clean.image
+                assert refs[-1]() is None, cut
+        finally:
+            gc.enable()

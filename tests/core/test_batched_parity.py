@@ -5,7 +5,7 @@ for any thread count) keeps a batch open across BOUNDARY and IO and
 settles it once: stores, boundary broadcasts and flush-ACK commits in
 step order.  It must be observationally identical to the classic
 per-instruction ``step()`` loop, the reference it is checked against —
-same final PM and volatile images, written-word set, I/O log, stats
+same final PM and volatile images, I/O log, stats
 (including the high-water WPQ occupancy and the opt-in commit/IO step
 hooks), each WPQ's contents, the undo log and broadcast set, the eager
 runtimes' pending and committed regions and memory-mode's dirty set,
@@ -18,11 +18,14 @@ MC, every defense-off mode, torn and nested cuts, and every two-run split
 of short programs, with one thread and with several; a long
 single-thread loop pins the batch cap.  A clean batch settles in bulk
 and every other batch event by event; ``TestSettlePath`` pins which
-path each case takes.
+path each case takes.  A bounded differential fuzz runs random
+configurations through both paths, and ``TestSeenSets`` checks that the
+per-MC seen sets drop each region at its commit.
 """
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -88,7 +91,6 @@ def assert_same_state(batched, classic):
     assert bp.boundary_issued == cp.boundary_issued
     for name in ("committed", "pending", "dirty"):
         assert getattr(bp, name, None) == getattr(cp, name, None), name
-    assert batched.volatile.written == classic.volatile.written
     for bvm, cvm in zip(batched.vms, classic.vms):
         assert bvm.halted == cvm.halted
         assert bvm.steps == cvm.steps
@@ -653,3 +655,127 @@ class TestTypedEscapes:
     def test_deadlock_error_is_runtime_error(self):
         assert issubclass(DeadlockError, RuntimeError)
         assert issubclass(MachineLimitError, RuntimeError)
+
+
+def fuzz_one(seed):
+    """One seeded differential case: a random program and configuration
+    (1-4 MCs, 2-64 WPQ entries, 1-3 threads, either machine), random
+    ``run(steps=)`` splits, crashes (torn ones on FaultyMachine) and
+    armed message faults, the two paths compared after every run and
+    every crash."""
+    rng = random.Random(seed)
+    config = DEFAULT_CONFIG.with_mcs(rng.randint(1, 4))
+    config = replace(
+        config, mc=replace(config.mc, wpq_entries=rng.randint(2, 64))
+    )
+    n_mcs = config.mc.n_mcs
+    threads = rng.randint(1, 3)
+    kwargs = {"config": config, "quantum": rng.choice([1, 3, 16])}
+    if threads == 1:
+        compiled = compile_program(random_program(seed))
+    else:
+        prog, kwargs["entries"] = random_mt_program(seed, n_threads=threads)
+        compiled = compile_program(prog)
+    cls = rng.choice([PersistentMachine, FaultyMachine])
+    faulty = cls is FaultyMachine
+    batched = make_machine(compiled, cls=cls, **kwargs)
+    classic = make_machine(compiled, cls=cls, **kwargs)
+
+    def arm(count):
+        for _ in range(count):
+            event = FaultEvent(
+                "msg", 1, op=rng.choice(MSG_OPS), mc=rng.randrange(n_mcs),
+                delay=rng.randint(1, 3),
+            )
+            batched.arm_msg(event)
+            classic.arm_msg(event)
+
+    if faulty:
+        arm(rng.randint(0, 2))
+    for _ in range(rng.randint(1, 6)):
+        run_both(batched, classic, rng.randint(1, 60 * threads))
+        if batched.finished:
+            break
+        if rng.random() < 0.5:
+            if faulty:
+                cut = FaultEvent(
+                    "cut", batched.stats.steps,
+                    torn_index=rng.choice([-1, 0, 1]),
+                )
+                batched.crash(cut)
+                classic.crash(cut)
+            else:
+                batched.crash()
+                classic.crash()
+            assert_same_state(batched, classic)
+        if faulty and rng.random() < 0.3:
+            arm(1)
+    run_both(batched, classic)
+    if faulty:
+        batched.finish_messages()
+        classic.finish_messages()
+        assert_same_state(batched, classic)
+
+
+class TestDifferentialFuzz:
+    """A bounded differential fuzz of ``run()`` against the single-step
+    loop over random programs and configurations (see :func:`fuzz_one`).
+    A crash empties volatile memory, so every run after one also checks
+    the reads that fall through to PM."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_configuration(self, seed):
+        fuzz_one(seed)
+
+
+class TestSeenSets:
+    """FaultyMachine's per-MC seen sets hold only uncommitted regions: a
+    region leaves every set when it commits, by either settle.  On a
+    failure-free run every MC sees each boundary at its broadcast, so
+    each set is exactly the regions whose ACK is in flight."""
+
+    @pytest.mark.parametrize("drive", ["run", "classic"])
+    @pytest.mark.parametrize("seed", [2, 9, 21])
+    def test_hold_only_uncommitted_regions(self, seed, drive):
+        compiled = compile_program(random_program(seed))
+        machine = make_machine(compiled, cls=FaultyMachine)
+        go = machine.run if drive == "run" else partial(run_classic, machine)
+        while not go(steps=25):
+            upto = machine.persist.committed_upto
+            for seen in machine.mc_seen:
+                assert all(region >= upto for region in seen)
+                assert seen == set(machine._ack_due)
+        assert machine.stats.commits > 1
+        machine.finish_messages()
+        assert machine.mc_seen == [set(), set()]
+
+    @pytest.mark.parametrize("drive", ["run", "classic"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_partly_seen_region_still_commits(self, seed, drive):
+        # a delivery to MC 1 delayed by two boundaries leaves a region
+        # seen by MC 0 only while older regions commit: it must stay in
+        # MC 0's set, or MC 1's late delivery would never complete its
+        # ACK and no later region would commit
+        compiled = compile_program(random_program(seed))
+        reference = make_machine(compiled, cls=FaultyMachine)
+        assert reference.run()
+        reference.finish_messages()
+        for at in (10, 25, 40):
+            machine = make_machine(compiled, cls=FaultyMachine)
+            go = machine.run if drive == "run" else partial(
+                run_classic, machine
+            )
+            go(steps=at)
+            machine.arm_msg(FaultEvent("msg", 1, op="delay", mc=1, delay=2))
+            assert go()
+            machine.finish_messages()
+            assert machine.mc_seen == [set(), set()], at
+            assert machine.stats.commits == reference.stats.commits, at
+            assert machine.pm == reference.pm, at
+
+    def test_a_long_run_keeps_them_small(self):
+        compiled = compile_program(store_loop_program(3000))
+        machine = make_machine(compiled, cls=FaultyMachine)
+        while not machine.run(steps=1000):
+            assert max(map(len, machine.mc_seen)) <= 2
+        assert machine.stats.commits > 300

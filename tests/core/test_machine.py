@@ -10,7 +10,7 @@ from helpers import (
 
 from repro.compiler import FunctionBuilder, Program, compile_program, run_single
 from repro.config import CompilerConfig, SystemConfig
-from repro.core.machine import PersistentMachine
+from repro.core.machine import PMLayer, PersistentMachine
 from repro.faults.defenses import ALL_ON, DEFENSE_OFF_MODES
 from repro.faults.machine import FaultyMachine
 
@@ -218,6 +218,61 @@ def split_store_program():
     fb.ret()
     fb.build()
     return compile_program(prog), a
+
+
+class TestPMLayer:
+    """A machine whose PM is a layer over a base image (the store-node
+    executor's set-up) runs exactly like one whose PM is a copy of that
+    image, and never writes the base."""
+
+    def test_reads_through_and_writes_over(self):
+        base = {1: 10, 2: 20}
+        pm = PMLayer(base)
+        pm[2] = 21
+        pm.update([(3, 30)])
+        assert [pm.get(w, 0) for w in (1, 2, 3, 4)] == [10, 21, 30, 0]
+        assert dict(pm) == {2: 21, 3: 30}
+        assert base == {1: 10, 2: 20}
+
+    def saxpy_over(self, n=32):
+        """saxpy, whose ``y`` comes only from the base image."""
+        compiled = compiled_saxpy(n=n)
+        y = compiled.program.base_of("y")
+        return compiled, y, {y + i: 100 + i for i in range(n)}
+
+    @pytest.mark.parametrize("cls", [PersistentMachine, FaultyMachine])
+    @pytest.mark.parametrize("crash_at", [None, 150, 300])
+    def test_runs_like_a_copy_of_its_base(self, cls, crash_at):
+        compiled, y, base = self.saxpy_over()
+        layered = cls(compiled)
+        layered.pm = PMLayer(base)
+        copied = cls(compiled)
+        copied.pm = dict(base)
+        for machine in (layered, copied):
+            if crash_at is not None:
+                machine.run(steps=crash_at)
+                machine.crash()
+            assert machine.run()
+            if cls is FaultyMachine:
+                machine.finish_messages()  # the last flush-ACK lands
+        merged = dict(base)
+        merged.update(layered.pm)
+        assert merged == copied.pm
+        assert [copied.pm[y + i] for i in range(32)] == [
+            3 * 7 * i + 100 + i for i in range(32)
+        ]
+        assert base == self.saxpy_over()[2]
+
+    def test_clone_keeps_the_base(self):
+        compiled, _, base = self.saxpy_over()
+        machine = PersistentMachine(compiled)
+        machine.pm = PMLayer(base)
+        machine.run(steps=200)
+        fork = machine.clone()
+        assert type(fork.pm) is PMLayer and fork.pm.base is base
+        assert fork.pm == machine.pm and fork.pm is not machine.pm
+        assert machine.run() and fork.run()
+        assert fork.pm == machine.pm
 
 
 class TestLastStoreWins:

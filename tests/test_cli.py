@@ -1,5 +1,7 @@
 """Tests for the `python -m repro` CLI."""
 
+import os
+
 import pytest
 
 from repro.__main__ import main
@@ -109,6 +111,19 @@ class TestServeCLI:
         first = capsys.readouterr().out
         assert main(["serve", "--smoke", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_serve_smoke_capri_matches_the_pin(self, capsys):
+        # an eager-undo backend through the store-node executor: every
+        # first-touch pre-image is read through PM, and the smoke's cut
+        # rolls uncommitted regions back
+        assert main(
+            ["serve", "--smoke", "--seed", "7", "--backend", "capri"]
+        ) == 0
+        pin = os.path.join(
+            os.path.dirname(__file__), "data", "serve-smoke-seed7-capri.txt"
+        )
+        with open(pin) as fh:
+            assert capsys.readouterr().out == fh.read()
 
     def test_serve_unknown_workload(self, capsys):
         assert main(["serve", "--workload", "nope"]) == 2
